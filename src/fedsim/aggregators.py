@@ -1,9 +1,11 @@
 """Server-side aggregation strategies.
 
-All strategies consume the round's ClientUpdates (sorted by client id)
-and produce the global update G, which the round loop applies as
-w <- w - step_scale * G. Adaptive strategies also carry persistent
-moment state across rounds.
+All strategies consume the round's ClientUpdates, sorted by client id
+and stacked into one (C, P) array with a client's pseudo-gradient per
+row, and reduce it column by column to the global update G, which the
+round loop applies as w <- w - step_scale * G. Rows are always added in
+client order. Adaptive strategies also carry persistent moment state
+across rounds.
 
 Strategies:
   fedavg       sample-count weighted mean of pseudo-gradients
@@ -27,15 +29,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EmptyFederationError, StructureMismatchError
+from .errors import StructureMismatchError
 from .tensors import (
     ParameterSet,
-    cross_client_softmax,
+    column_softmax,
     flat_inner_product,
     l2_norm,
-    mean,
-    scale,
-    zip_map,
+    stack,
 )
 from .training import ClientUpdate
 
@@ -81,38 +81,39 @@ def initial_state(template: ParameterSet) -> AggregatorState:
                            smoothed_angles={})
 
 
-def _sorted(updates: list[ClientUpdate]) -> list[ClientUpdate]:
-    if not updates:
-        raise EmptyFederationError("no client updates")
-    out = sorted(updates, key=lambda u: u.client_id)
-    first = out[0].pseudo_gradient
-    for u in out[1:]:
-        first.check_structure(u.pseudo_gradient)
-    return out
+def _stacked(updates: list[ClientUpdate], state: AggregatorState | None = None,
+             ) -> tuple[list[ClientUpdate], np.ndarray]:
+    """Updates sorted by client id, and their pseudo-gradients as the rows
+    of one new (C, P) array. A given state must share their layout."""
+    updates = sorted(updates, key=lambda u: u.client_id)
+    g = stack([u.pseudo_gradient for u in updates])
+    if state is not None:
+        state.m.check_structure(updates[0].pseudo_gradient)
+    return updates, g
 
 
-def _second_moment(variant: str, v_prev: ParameterSet, g: ParameterSet,
-                   beta2: float) -> ParameterSet:
+def _weighted_sum(updates: list[ClientUpdate], g: np.ndarray,
+                  weights: np.ndarray) -> ParameterSet:
+    """sum_c weights[c] * g[c], adding the rows in client order; consumes g."""
+    g *= weights[:, None]
+    return updates[0].pseudo_gradient.with_flat(g.sum(axis=0))
+
+
+def _second_moment(variant: str, v_prev: np.ndarray, g: np.ndarray,
+                   beta2: float) -> np.ndarray:
     if variant == "adam":
-        return zip_map(v_prev, g, lambda v, gg: beta2 * v + (1 - beta2) * gg * gg)
+        return beta2 * v_prev + (1 - beta2) * g * g
     if variant == "adagrad":
-        return zip_map(v_prev, g, lambda v, gg: v + gg * gg)
+        return v_prev + g * g
     # yogi: additive form keeps v >= 0 from zero init; sign(0) = 0
-    return zip_map(
-        v_prev, g,
-        lambda v, gg: v - (1 - beta2) * gg * gg * np.sign(v - gg * gg),
-    )
+    return v_prev - (1 - beta2) * g * g * np.sign(v_prev - g * g)
 
 
 def fedavg_aggregate(updates: list[ClientUpdate]) -> ParameterSet:
     """Sample-count weighted mean of client pseudo-gradients."""
-    updates = _sorted(updates)
-    total = sum(u.num_samples for u in updates)
-    acc = scale(updates[0].pseudo_gradient, updates[0].num_samples / total)
-    for u in updates[1:]:
-        acc = zip_map(acc, u.pseudo_gradient,
-                      lambda a, g, w=u.num_samples / total: a + w * g)
-    return acc
+    updates, g = _stacked(updates)
+    counts = np.array([u.num_samples for u in updates])
+    return _weighted_sum(updates, g, counts / counts.sum())
 
 
 def adaptive_step_size(server_lr: float, beta1: float, beta2: float,
@@ -121,69 +122,73 @@ def adaptive_step_size(server_lr: float, beta1: float, beta2: float,
     return server_lr * np.sqrt(1.0 - beta2 ** r) / (1.0 - beta1 ** r)
 
 
+def _mean_moments(updates: list[ClientUpdate], state: AggregatorState,
+                  cfg: AggregatorConfig, variant: str,
+                  ) -> tuple[int, np.ndarray, np.ndarray]:
+    """Round number, then both moments advanced by the uniform mean gradient."""
+    _, g = _stacked(updates, state)
+    g_mean = g.sum(axis=0) * (1.0 / len(g))
+    m = cfg.beta1 * state.m.to_flat() + (1 - cfg.beta1) * g_mean
+    v = _second_moment(variant, state.v.to_flat(), g_mean, cfg.beta2)
+    return state.round + 1, m, v
+
+
 def fedopt_aggregate(updates: list[ClientUpdate], state: AggregatorState,
                      cfg: AggregatorConfig) -> tuple[ParameterSet, AggregatorState]:
     """Adaptive server optimizer on the uniform mean gradient."""
-    updates = _sorted(updates)
-    r = state.round + 1
-    g_mean = mean([u.pseudo_gradient for u in updates])
-    m = zip_map(state.m, g_mean, lambda mm, gg: cfg.beta1 * mm + (1 - cfg.beta1) * gg)
-    v = _second_moment(cfg.variant, state.v, g_mean, cfg.beta2)
+    r, m, v = _mean_moments(updates, state, cfg, cfg.variant)
     eta = adaptive_step_size(cfg.server_lr, cfg.beta1, cfg.beta2, r)
-    big_g = zip_map(m, v, lambda mm, vv: eta * mm / (np.sqrt(vv) + cfg.epsilon))
-    return big_g, replace(state, round=r, m=m, v=v)
+    big_g = eta * m / (np.sqrt(v) + cfg.epsilon)
+    like = state.m.with_flat
+    return like(big_g), replace(state, round=r, m=like(m), v=like(v))
 
 
 def fedams_aggregate(updates: list[ClientUpdate], state: AggregatorState,
                      cfg: AggregatorConfig) -> tuple[ParameterSet, AggregatorState]:
     """fedopt-adam with a max-stabilized denominator."""
-    updates = _sorted(updates)
-    r = state.round + 1
-    g_mean = mean([u.pseudo_gradient for u in updates])
-    m = zip_map(state.m, g_mean, lambda mm, gg: cfg.beta1 * mm + (1 - cfg.beta1) * gg)
-    v = _second_moment("adam", state.v, g_mean, cfg.beta2)
-    v_max = zip_map(state.v_max, v, np.maximum)
+    r, m, v = _mean_moments(updates, state, cfg, "adam")
+    v_max = np.maximum(state.v_max.to_flat(), v)
     eta = adaptive_step_size(cfg.server_lr, cfg.beta1, cfg.beta2, r)
-    big_g = zip_map(m, v_max, lambda mm, vv: eta * mm / (np.sqrt(vv) + cfg.epsilon))
-    return big_g, replace(state, round=r, m=m, v=v, v_max=v_max)
+    big_g = eta * m / (np.sqrt(v_max) + cfg.epsilon)
+    like = state.m.with_flat
+    return like(big_g), replace(state, round=r, m=like(m), v=like(v),
+                                v_max=like(v_max))
 
 
 def ewwa_aggregate(updates: list[ClientUpdate], state: AggregatorState,
                    cfg: AggregatorConfig, return_proportions: bool = False):
     """Element-wise adaptive aggregation.
 
-    Per client: moments from the shared previous state, bias correction,
-    contribution score b = lr * m_hat / (sqrt(v_hat) + eps). A softmax
-    across clients at every element yields per-element proportions, and
-    G is the proportion-weighted sum of client gradients. The shared
-    state advances to the uniform mean of the per-client moments.
+    Per client (one row of the (C, P) stack): moments from the shared
+    previous state, bias correction, contribution score
+    b = lr * m_hat / (sqrt(v_hat) + eps). A softmax down every column
+    yields per-element proportions, and G is the proportion-weighted sum
+    of client gradients. The shared state advances to the uniform mean
+    of the per-client moments.
     """
-    updates = _sorted(updates)
+    updates, g = _stacked(updates, state)
     r = state.round + 1
     bc1 = 1.0 - cfg.beta1 ** r
     bc2 = 1.0 - cfg.beta2 ** r
-    per_client_m: list[ParameterSet] = []
-    per_client_v: list[ParameterSet] = []
-    contributions: list[ParameterSet] = []
-    for u in updates:
-        g = u.pseudo_gradient
-        m_c = zip_map(state.m, g, lambda mm, gg: cfg.beta1 * mm + (1 - cfg.beta1) * gg)
-        v_c = _second_moment(cfg.variant, state.v, g, cfg.beta2)
-        b_c = zip_map(
-            m_c, v_c,
-            lambda mm, vv: cfg.server_lr * (mm / bc1) / (np.sqrt(vv / bc2) + cfg.epsilon),
-        )
-        per_client_m.append(m_c)
-        per_client_v.append(v_c)
-        contributions.append(b_c)
-    proportions = cross_client_softmax(contributions)
-    acc = ParameterSet.zeros_like(state.m)
-    for p, u in zip(proportions, updates):
-        acc = zip_map(acc, zip_map(p, u.pseudo_gradient, np.multiply), np.add)
-    new_state = replace(state, round=r, m=mean(per_client_m), v=mean(per_client_v))
+    m = cfg.beta1 * state.m.to_flat() + (1 - cfg.beta1) * g
+    v = _second_moment(cfg.variant, state.v.to_flat(), g, cfg.beta2)
+    like = state.m.with_flat
+    new_state = replace(state, round=r, m=like(m.sum(axis=0) * (1.0 / len(g))),
+                        v=like(v.sum(axis=0) * (1.0 / len(g))))
+    # b = lr * (m / bc1) / (sqrt(v / bc2) + eps), built in place in m
+    m /= bc1
+    m *= cfg.server_lr
+    v /= bc2
+    np.sqrt(v, out=v)
+    v += cfg.epsilon
+    m /= v
+    del v
+    p = column_softmax(m)
+    g *= p
+    big_g = like(g.sum(axis=0))
     if return_proportions:
-        return acc, new_state, proportions
-    return acc, new_state
+        return big_g, new_state, [like(row) for row in p]
+    return big_g, new_state
 
 
 def gompertz_contribution(smoothed_angle: float, alpha: float) -> float:
@@ -200,7 +205,7 @@ def fedadp_aggregate(updates: list[ClientUpdate], state: AggregatorState,
                      cfg: AggregatorConfig, global_mean_grad: ParameterSet,
                      ) -> tuple[ParameterSet, AggregatorState]:
     """Angle-based per-client weighting with running-mean smoothing."""
-    updates = _sorted(updates)
+    updates, g = _stacked(updates)
     r = state.round + 1
     norm_global = l2_norm(global_mean_grad)
     angles = {}
@@ -220,10 +225,8 @@ def fedadp_aggregate(updates: list[ClientUpdate], state: AggregatorState,
         gompertz_contribution(angles[u.client_id], cfg.adp_alpha) for u in updates
     ])
     weights = _scalar_softmax(contribs)
-    acc = scale(updates[0].pseudo_gradient, weights[0])
-    for w, u in zip(weights[1:], updates[1:]):
-        acc = zip_map(acc, u.pseudo_gradient, lambda a, g, w=w: a + w * g)
-    return acc, replace(state, round=r, smoothed_angles=angles)
+    return (_weighted_sum(updates, g, weights),
+            replace(state, round=r, smoothed_angles=angles))
 
 
 def fedboosting_aggregate(updates: list[ClientUpdate], cross_val: np.ndarray,
@@ -233,7 +236,7 @@ def fedboosting_aggregate(updates: list[ClientUpdate], cross_val: np.ndarray,
     cross_val[i][j] is model i's validation accuracy on client j's
     held-out split; train_metrics[i] is client i's final train accuracy.
     """
-    updates = _sorted(updates)
+    updates, g = _stacked(updates)
     c = len(updates)
     cross_val = np.asarray(cross_val, dtype=np.float64)
     train_metrics = np.asarray(train_metrics, dtype=np.float64)
@@ -248,7 +251,4 @@ def fedboosting_aggregate(updates: list[ClientUpdate], cross_val: np.ndarray,
     s = _scalar_softmax(train_metrics)
     off_diag_sums = cross_val.sum(axis=1) - np.diag(cross_val)
     weights = _scalar_softmax(s * off_diag_sums)
-    acc = scale(updates[0].pseudo_gradient, weights[0])
-    for w, u in zip(weights[1:], updates[1:]):
-        acc = zip_map(acc, u.pseudo_gradient, lambda a, g, w=w: a + w * g)
-    return acc
+    return _weighted_sum(updates, g, weights)

@@ -9,6 +9,10 @@ class StructureMismatchError(FedSimError):
     """Two parameter sets disagree in layer names, order, or shapes."""
 
 
+class NonFiniteError(FedSimError, ValueError):
+    """A parameter set would hold NaN or Inf values."""
+
+
 class EmptyFederationError(FedSimError):
     """An aggregation step received zero client updates."""
 

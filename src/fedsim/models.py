@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError
+from .errors import EmptyInputError, NonFiniteError
 from .tensors import ParameterSet
 
 SOFTMAX_REGRESSION = "softmax_regression"
@@ -89,6 +89,14 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross-entropy of integer labels under row-softmaxed logits."""
+    # log-softmax evaluated directly for numerical stability
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(y.shape[0]), y].mean())
+
+
 def _get(params: ParameterSet, name: str, spec_shape: tuple[int, ...]) -> np.ndarray:
     return params.layer(name).reshape(spec_shape)
 
@@ -116,12 +124,8 @@ def loss_and_grad(params: ParameterSet, spec: ModelSpec, batch: Batch):
     x, y = batch.features, batch.labels
     n = x.shape[0]
     logits, cache = _forward(params, spec, x)
+    loss = _cross_entropy(logits, y)
     probs = _softmax_rows(logits)
-    # log-softmax evaluated directly for numerical stability
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(n), y].mean())
-
     dlogits = probs.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
@@ -145,9 +149,8 @@ def loss_and_grad(params: ParameterSet, spec: ModelSpec, batch: Batch):
             "out_weight": h.T @ dlogits,
             "out_bias": dlogits.sum(axis=0),
         }
-    grad = ParameterSet(
-        (name, shape, grads[name]) for name, shape, _ in params
-    )
+    grad = params.with_flat(
+        np.concatenate([grads[name] for name in params.names], axis=None))
     return loss, grad
 
 
@@ -162,7 +165,9 @@ def evaluate(params: ParameterSet, spec: ModelSpec, data) -> tuple[float, float]
     if data.features.shape[0] < 1:
         raise EmptyInputError("evaluate on empty dataset")
     batch = Batch(data.features, data.labels)
-    loss, _ = loss_and_grad(params, spec, batch)
-    preds = predict(params, spec, data.features)
-    accuracy = float(np.mean(preds == data.labels))
+    logits, _ = _forward(params, spec, batch.features)
+    loss = _cross_entropy(logits, batch.labels)
+    if not np.isfinite(loss):
+        raise NonFiniteError("evaluate: non-finite loss")
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
     return accuracy, loss

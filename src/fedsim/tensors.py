@@ -1,9 +1,13 @@
-"""Flat named-tensor container and the element-wise arithmetic built on it.
+"""Model parameters as one flat vector with a named layer layout.
 
-A ParameterSet is an ordered, immutable collection of named flat float64
-arrays. All server-side aggregation math (moment updates, bias correction,
-the cross-client element-wise softmax) is expressed through the small set
-of operations below.
+A ParameterSet holds one read-only, contiguous float64 vector and an
+immutable layout: for every layer its name, shape and the [start, stop)
+slice of the vector it occupies. Only this module knows that layout.
+Every set derived from another (with_flat, map, zip_map, mean, ...)
+shares the layout object, so element-wise arithmetic is one NumPy call
+over the whole vector and a structure check between related sets is an
+identity test. Values are checked to be finite whenever a set is built,
+so no public operation can hand back NaN or Inf.
 """
 from __future__ import annotations
 
@@ -11,115 +15,114 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyFederationError, StructureMismatchError
+from .errors import EmptyFederationError, NonFiniteError, StructureMismatchError
+
+# One entry per layer: (name, shape, start, stop) into the flat vector.
+Layout = tuple[tuple[str, tuple[int, ...], int, int], ...]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, order="C", copy=True)
-    out.flags.writeable = False
-    return out
+def _frozen(layout: Layout, flat: np.ndarray) -> np.ndarray:
+    """Check that an owned vector is finite, then make it read-only."""
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        name = next(n for n, _, start, stop in layout if start <= bad < stop)
+        raise NonFiniteError(f"layer {name!r}: non-finite values")
+    flat.flags.writeable = False
+    return flat
 
 
 class ParameterSet:
-    """Ordered list of (name, shape, flat float64 values) layers.
+    """Ordered named layers stored back to back in one flat float64 vector.
 
-    Instances are immutable: every operation builds a new set. Values are
-    validated to be finite on construction, so no public operation can
-    hand back NaN or Inf.
+    Instances are immutable: every operation builds a new set, and the
+    arrays handed out by layer() and iteration are read-only views.
     """
 
-    __slots__ = ("_names", "_shapes", "_values")
+    __slots__ = ("_layout", "_flat")
 
     def __init__(self, layers: Iterable[tuple[str, Sequence[int], np.ndarray]]):
-        names: list[str] = []
-        shapes: list[tuple[int, ...]] = []
-        values: list[np.ndarray] = []
+        layout = []
+        chunks = []
+        start = 0
         for name, shape, vals in layers:
             shape = tuple(int(s) for s in shape)
             if any(s <= 0 for s in shape):
                 raise ValueError(f"layer {name!r}: non-positive dim in shape {shape}")
-            arr = _freeze(np.ravel(np.asarray(vals, dtype=np.float64)))
+            arr = np.ravel(np.asarray(vals, dtype=np.float64))
             expected = int(np.prod(shape))
             if arr.size != expected:
                 raise ValueError(
                     f"layer {name!r}: {arr.size} values for shape {shape} "
                     f"(expected {expected})"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"layer {name!r}: non-finite values")
-            if name in names:
+            if any(name == n for n, *_ in layout):
                 raise ValueError(f"duplicate layer name {name!r}")
-            names.append(name)
-            shapes.append(shape)
-            values.append(arr)
-        self._names = tuple(names)
-        self._shapes = tuple(shapes)
-        self._values = tuple(values)
+            layout.append((name, shape, start, start + expected))
+            chunks.append(arr)
+            start += expected
+        self._layout: Layout = tuple(layout)
+        flat = np.concatenate(chunks) if chunks else np.empty(0)
+        self._flat = _frozen(self._layout, flat)
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._names
-
-    @property
-    def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return self._shapes
+        return tuple(name for name, *_ in self._layout)
 
     def layer(self, name: str) -> np.ndarray:
-        return self._values[self._names.index(name)]
+        for n, _, start, stop in self._layout:
+            if n == name:
+                return self._flat[start:stop]
+        raise ValueError(f"no layer named {name!r}")
 
     def __iter__(self) -> Iterator[tuple[str, tuple[int, ...], np.ndarray]]:
-        return iter(zip(self._names, self._shapes, self._values))
+        return ((n, s, self._flat[start:stop]) for n, s, start, stop in self._layout)
 
     def __len__(self) -> int:
-        return len(self._names)
-
-    @property
-    def num_elements(self) -> int:
-        return sum(v.size for v in self._values)
-
-    def same_structure(self, other: "ParameterSet") -> bool:
-        return self._names == other._names and self._shapes == other._shapes
+        return len(self._layout)
 
     def check_structure(self, other: "ParameterSet") -> None:
-        for i in range(max(len(self._names), len(other._names))):
-            a = self._names[i] if i < len(self._names) else None
-            b = other._names[i] if i < len(other._names) else None
-            if a != b:
+        if self._layout is other._layout:
+            return
+        a, b = self._layout, other._layout
+        for i in range(max(len(a), len(b))):
+            name_a = a[i][0] if i < len(a) else None
+            name_b = b[i][0] if i < len(b) else None
+            if name_a != name_b:
                 raise StructureMismatchError(
-                    f"layer {i}: name {a!r} vs {b!r}"
+                    f"layer {i}: name {name_a!r} vs {name_b!r}"
                 )
-            if self._shapes[i] != other._shapes[i]:
+            if a[i][1] != b[i][1]:
                 raise StructureMismatchError(
-                    f"layer {a!r}: shape {self._shapes[i]} vs {other._shapes[i]}"
+                    f"layer {name_a!r}: shape {a[i][1]} vs {b[i][1]}"
                 )
 
     def map(self, f: Callable[[np.ndarray], np.ndarray]) -> "ParameterSet":
-        return ParameterSet(
-            (n, s, f(v)) for n, s, v in self
-        )
+        return self.with_flat(f(self._flat))
 
     @classmethod
     def zeros_like(cls, template: "ParameterSet") -> "ParameterSet":
         return template.map(np.zeros_like)
 
     def to_flat(self) -> np.ndarray:
-        """Concatenate all layers into one vector, in layer order."""
-        return np.concatenate(self._values) if self._values else np.empty(0)
+        """A writable copy of the whole vector, in layer order."""
+        return self._flat.copy()
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
-        """Rebuild a structurally identical set from one flat vector."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != self.num_elements:
-            raise ValueError(f"flat vector size {flat.size} != {self.num_elements}")
-        out = []
-        off = 0
-        for n, s, v in self:
-            out.append((n, s, flat[off:off + v.size]))
-            off += v.size
-        return ParameterSet(out)
+        """A set with this layout holding a frozen copy of one flat vector.
+
+        Every set derived from another is built here, without __init__.
+        """
+        values = np.array(flat, dtype=np.float64, order="C", copy=True).reshape(-1)
+        if values.size != self._flat.size:
+            raise ValueError(f"flat vector size {values.size} != {self._flat.size}")
+        out = object.__new__(ParameterSet)
+        out._layout = self._layout
+        out._flat = _frozen(self._layout, values)
+        return out
 
     def __repr__(self) -> str:
-        layers = ", ".join(f"{n}{list(s)}" for n, s in zip(self._names, self._shapes))
+        layers = ", ".join(f"{n}{list(s)}" for n, s, *_ in self._layout)
         return f"ParameterSet({layers})"
 
 
@@ -128,73 +131,55 @@ def zip_map(
     b: ParameterSet,
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> ParameterSet:
-    """Apply a binary element-wise function layer by layer."""
+    """Apply a binary element-wise function to the two whole vectors."""
     a.check_structure(b)
-    return ParameterSet(
-        (n, s, f(va, b._values[i]))
-        for i, (n, s, va) in enumerate(a)
-    )
+    return a.with_flat(f(a._flat, b._flat))
 
 
-def add(a: ParameterSet, b: ParameterSet) -> ParameterSet:
-    return zip_map(a, b, np.add)
+def stack(sets: Sequence[ParameterSet]) -> np.ndarray:
+    """The sets' vectors as the rows of a new C-ordered (C, P) array.
 
-
-def sub(a: ParameterSet, b: ParameterSet) -> ParameterSet:
-    return zip_map(a, b, np.subtract)
-
-
-def mul(a: ParameterSet, b: ParameterSet) -> ParameterSet:
-    return zip_map(a, b, np.multiply)
-
-
-def scale(a: ParameterSet, c: float) -> ParameterSet:
-    return a.map(lambda v: v * float(c))
+    Reducing it with .sum(axis=0) adds the rows in the given order.
+    """
+    if len(sets) == 0:
+        raise EmptyFederationError("no parameter sets to stack")
+    for other in sets[1:]:
+        sets[0].check_structure(other)
+    return np.stack([s._flat for s in sets])
 
 
 def mean(sets: Sequence[ParameterSet]) -> ParameterSet:
-    """Uniform mean of structurally identical sets, in given order."""
-    if not sets:
-        raise EmptyFederationError("mean of zero parameter sets")
-    acc = sets[0]
-    for other in sets[1:]:
-        acc = add(acc, other)
-    return scale(acc, 1.0 / len(sets))
+    """Uniform mean of structurally identical sets, summed in given order."""
+    total = stack(sets).sum(axis=0)
+    return sets[0].with_flat(total * (1.0 / len(sets)))
 
 
 def flat_inner_product(a: ParameterSet, b: ParameterSet) -> float:
     """Sum of element-wise products over all layers."""
     a.check_structure(b)
-    return float(sum(
-        np.dot(va, vb) for (_, _, va), (_, _, vb) in zip(a, b)
-    ))
+    return float(np.dot(a._flat, b._flat))
 
 
 def l2_norm(a: ParameterSet) -> float:
     return float(np.sqrt(flat_inner_product(a, a)))
 
 
-def cross_client_softmax(stack: Sequence[ParameterSet]) -> list[ParameterSet]:
+def column_softmax(mat: np.ndarray) -> np.ndarray:
+    """Softmax down every column of a (C, P) array, in place.
+
+    The column maximum is subtracted before exponentiation.
+    """
+    mat -= mat.max(axis=0)
+    np.exp(mat, out=mat)
+    mat /= mat.sum(axis=0)
+    return mat
+
+
+def cross_client_softmax(sets: Sequence[ParameterSet]) -> list[ParameterSet]:
     """Element-wise softmax across clients.
 
     For each scalar position, the C values held by the C input sets are
     mapped through a softmax, so each client receives a per-element
-    proportion and the proportions at every position sum to one. The
-    per-position maximum is subtracted before exponentiation.
+    proportion and the proportions at every position sum to one.
     """
-    if len(stack) == 0:
-        raise EmptyFederationError("softmax over zero clients")
-    first = stack[0]
-    for other in stack[1:]:
-        first.check_structure(other)
-    out_layers: list[list[tuple[str, tuple[int, ...], np.ndarray]]] = [
-        [] for _ in stack
-    ]
-    for i, (name, shape, _) in enumerate(first):
-        mat = np.stack([ps._values[i] for ps in stack])  # (C, n)
-        mat = mat - mat.max(axis=0, keepdims=True)
-        e = np.exp(mat)
-        p = e / e.sum(axis=0, keepdims=True)
-        for c in range(len(stack)):
-            out_layers[c].append((name, shape, p[c]))
-    return [ParameterSet(layers) for layers in out_layers]
+    return [sets[0].with_flat(p) for p in column_softmax(stack(sets))]

@@ -14,7 +14,7 @@ import numpy as np
 from .data import Dataset
 from .errors import EmptyInputError
 from .models import Batch, ModelSpec, evaluate, loss_and_grad
-from .tensors import ParameterSet, scale, sub, zip_map
+from .tensors import ParameterSet, zip_map
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
             params = zip_map(params, velocity, lambda w, u: w - cfg.lr * u)
             epoch_losses.append(loss)
         last_epoch_losses = epoch_losses
-    pseudo_gradient = scale(sub(global_params, params), 1.0 / cfg.lr)
+    pseudo_gradient = zip_map(global_params, params,
+                              lambda w0, w: (w0 - w) * (1.0 / cfg.lr))
     train_accuracy, _ = evaluate(params, spec, shard)
     return ClientUpdate(
         client_id=client_id,

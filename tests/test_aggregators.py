@@ -375,6 +375,48 @@ class TestFedBoosting:
             fedboosting_aggregate(updates, np.zeros((2, 2)), np.array([1.0]))
 
 
+CROSS_VAL = np.array([[0.5, 0.9, 0.8], [0.4, 0.5, 0.7], [0.6, 0.7, 0.5]])
+TRAIN_ACC = np.array([0.9, 0.8, 0.7])
+ONE_ROUND = {
+    "fedavg": lambda ups, st: (fedavg_aggregate(ups), st),
+    "fedopt": lambda ups, st: fedopt_aggregate(
+        ups, st, AggregatorConfig(strategy="fedopt")),
+    "fedams": lambda ups, st: fedams_aggregate(
+        ups, st, AggregatorConfig(strategy="fedams")),
+    "ewwa": lambda ups, st: ewwa_aggregate(
+        ups, st, AggregatorConfig(strategy="ewwa")),
+    "fedboosting": lambda ups, st: (
+        fedboosting_aggregate(ups, CROSS_VAL, TRAIN_ACC), st),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(ONE_ROUND))
+def test_two_layer_set_aggregates_like_each_layer_alone(strategy):
+    """Layers never mix: aggregating a 2-layer set gives, bit for bit, the
+    concatenation of aggregating each layer on its own, round after round."""
+    step = ONE_ROUND[strategy]
+    rng = np.random.default_rng(71)
+    sizes = (5, 8)
+    joint_state = initial_state(ParameterSet(
+        (name, (n,), np.zeros(n)) for name, n in zip("ab", sizes)))
+    alone_states = [initial_state(ps(*np.zeros(n))) for n in sizes]
+    for _ in range(3):
+        grads = [[rng.normal(size=n) for n in sizes] for _ in range(3)]
+        counts = rng.integers(1, 50, size=3)
+        joint = [ClientUpdate(
+            client_id=c, num_samples=int(counts[c]), train_loss=0.0,
+            train_accuracy=0.5, pseudo_gradient=ParameterSet(
+                (name, (n,), g) for name, n, g in zip("ab", sizes, grads[c])))
+            for c in range(3)]
+        g_joint, joint_state = step(joint, joint_state)
+        parts = []
+        for i in range(len(sizes)):
+            alone = [upd(c, grads[c][i], n=int(counts[c])) for c in range(3)]
+            g_alone, alone_states[i] = step(alone, alone_states[i])
+            parts.append(g_alone.to_flat())
+        np.testing.assert_array_equal(g_joint.to_flat(), np.concatenate(parts))
+
+
 class TestPermutationInvariance:
     def test_all_strategies(self):
         rng = np.random.default_rng(55)

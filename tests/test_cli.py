@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from fedsim.cli import main
 
 
@@ -77,3 +79,14 @@ def test_compare(tmp_path, capsys):
                  "--out", str(csv_path)]) == 0
     assert csv_path.exists()
     assert "rounds_to_threshold" in capsys.readouterr().out
+
+
+def test_divergence_is_a_one_line_runtime_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"lr": 1e200, "strategy": "ewwa",
+                                       "rounds": 3})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: round 1: ") and err.count("\n") == 1
+    assert "non-finite" in err and "Traceback" not in err

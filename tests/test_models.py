@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedsim.data import Dataset
-from fedsim.errors import EmptyInputError
+from fedsim.errors import EmptyInputError, NonFiniteError
 from fedsim.models import (
     Batch,
     ModelSpec,
@@ -169,3 +169,11 @@ class TestEvaluate:
         zeros = init_params(spec, 0).map(np.zeros_like)
         preds = predict(zeros, spec, np.zeros((4, 2)))
         assert np.all(preds == 0)
+
+    def test_overflowing_logits_raise_non_finite(self):
+        spec = ModelSpec("softmax_regression", input_dim=2, num_classes=3)
+        huge = init_params(spec, 0).map(lambda v: np.full_like(v, 1e308))
+        data = Dataset(np.full((4, 2), 10.0), np.zeros(4, dtype=int), 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="non-finite loss"):
+                evaluate(huge, spec, data)

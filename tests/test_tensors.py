@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from fedsim.errors import EmptyFederationError, StructureMismatchError
+from fedsim.errors import (
+    EmptyFederationError,
+    NonFiniteError,
+    StructureMismatchError,
+)
 from fedsim.tensors import (
     ParameterSet,
     cross_client_softmax,
@@ -43,6 +47,24 @@ class TestParameterSet:
         with pytest.raises(ValueError):
             ps.layer("a")[0] = 9.0
 
+    def test_to_flat_is_a_copy(self):
+        ps = make([1.0, 2.0])
+        flat = ps.to_flat()
+        flat[0] = 9.0
+        np.testing.assert_array_equal(ps.layer("a"), [1.0, 2.0])
+
+    def test_derived_sets_read_only(self):
+        ps = make([1.0, 2.0], [3.0])
+        for derived in (ps.with_flat([4.0, 5.0, 6.0]), zip_map(ps, ps, np.add)):
+            for _, _, values in derived:
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
+
+    def test_with_flat_names_non_finite_layer(self):
+        ps = make([1.0, 2.0], [3.0, 4.0])
+        with pytest.raises(NonFiniteError, match="'b'"):
+            ps.with_flat([1.0, 2.0, 3.0, np.inf])
+
     def test_flat_round_trip(self):
         rng = np.random.default_rng(3)
         ps = random_set(rng)
@@ -55,6 +77,12 @@ class TestZipMap:
     def test_add(self):
         out = zip_map(make([1, 2]), make([3, 4]), np.add)
         np.testing.assert_array_equal(out.layer("a"), [4, 6])
+
+    def test_independent_equal_layouts(self):
+        out = zip_map(make([1, 2], [3]), make([4, 5], [6]), np.subtract)
+        assert out.names == ("a", "b")
+        np.testing.assert_array_equal(out.layer("a"), [-3, -3])
+        np.testing.assert_array_equal(out.layer("b"), [-3])
 
     def test_mul_by_zero_absorbs(self):
         rng = np.random.default_rng(0)
