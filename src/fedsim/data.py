@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
+    FedSimError,
     IdxConsistencyError,
     IdxFormatError,
     IdxLengthError,
@@ -73,8 +74,12 @@ def read_idx(path, expected_magic: int | None = None) -> tuple[int, tuple[int, .
     When expected_magic is given, any other magic is a format error; the
     dimension count is always taken from the magic's low byte.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FedSimError(
+            f"cannot read IDX file '{path}': {exc.strerror}") from exc
     if len(raw) < 4:
         raise IdxLengthError(f"{path}: only {len(raw)} bytes, no magic")
     (magic,) = struct.unpack(">I", raw[:4])
@@ -116,6 +121,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
     features = img_data.reshape(n, rows * cols).astype(np.float64) / 255.0
     labels = lbl_data.astype(np.int64)
+    if np.unique(labels).size < 2:
+        raise InsufficientDataError(f"{labels_path}: fewer than 2 classes")
     return Dataset(features, labels, int(labels.max()) + 1)
 
 

@@ -23,7 +23,7 @@ from .data import (
     synth_blobs,
 )
 from .errors import RunError, FedSimError
-from .models import ModelSpec, evaluate, init_params
+from .models import ACTIVATIONS, MODEL_KINDS, ModelSpec, evaluate, init_params
 from .tensors import ParameterSet, mean, zip_map
 from .training import ClientUpdate, LocalConfig, local_params_from_update, train_local
 
@@ -52,16 +52,25 @@ class FederationConfig:
     global_step_scale: float = 1.0
 
     def __post_init__(self):
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        for key in ("num_clients", "rounds", "hidden_dim", "synth_per_class",
+                    "synth_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.model_kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model_kind {self.model_kind!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
         if self.partition not in ("iid", "label_skew"):
             raise ValueError(f"unknown partition {self.partition!r}")
         if self.data_source not in ("synth", "idx"):
             raise ValueError(f"unknown data_source {self.data_source!r}")
-        if self.global_step_scale <= 0:
-            raise ValueError("global_step_scale must be > 0")
+        if self.synth_classes < 2:
+            raise ValueError("synth_classes must be >= 2")
+        for key in ("concentration", "synth_spread", "global_step_scale"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -153,32 +162,33 @@ def run_federation(cfg: FederationConfig, data: Dataset | None = None,
     for r in range(1, cfg.rounds + 1):
         t0 = time.perf_counter()
         try:
-            updates = [
-                train_local(params, spec, shards[cid], cfg.local,
-                            client_seed(cfg.seed, r, cid), client_id=cid)
-                for cid in range(cfg.num_clients)
-            ]
-            updates.sort(key=lambda u: u.client_id)
-            if strategy == "fedavg":
-                big_g = agg.fedavg_aggregate(updates)
-            elif strategy == "fedopt":
-                big_g, state = agg.fedopt_aggregate(updates, state, cfg.aggregator)
-            elif strategy == "fedams":
-                big_g, state = agg.fedams_aggregate(updates, state, cfg.aggregator)
-            elif strategy == "ewwa":
-                big_g, state = agg.ewwa_aggregate(updates, state, cfg.aggregator)
-            elif strategy == "fedadp":
-                g_mean = mean([u.pseudo_gradient for u in updates])
-                big_g, state = agg.fedadp_aggregate(updates, state,
-                                                    cfg.aggregator, g_mean)
-            elif strategy == "fedboosting":
-                cross_val, train_metrics = _boosting_inputs(
-                    cfg, spec, params, updates, val_sets)
-                big_g = agg.fedboosting_aggregate(updates, cross_val, train_metrics)
-            else:  # pragma: no cover - rejected by AggregatorConfig
-                raise FedSimError(f"unknown strategy {strategy!r}")
-            params = apply_global_update(params, big_g, cfg.global_step_scale)
-            test_acc, test_loss = evaluate(params, spec, test)
+            # overflow yields inf/NaN, which the finite checks turn into
+            # NonFiniteError; NumPy's own warnings would only repeat it
+            with np.errstate(over="ignore", invalid="ignore"):
+                updates = [
+                    train_local(params, spec, shards[cid], cfg.local,
+                                client_seed(cfg.seed, r, cid), client_id=cid)
+                    for cid in range(cfg.num_clients)
+                ]
+                updates.sort(key=lambda u: u.client_id)
+                if strategy == "fedavg":
+                    big_g = agg.fedavg_aggregate(updates)
+                elif strategy == "fedopt":
+                    big_g, state = agg.fedopt_aggregate(updates, state, cfg.aggregator)
+                elif strategy == "fedams":
+                    big_g, state = agg.fedams_aggregate(updates, state, cfg.aggregator)
+                elif strategy == "ewwa":
+                    big_g, state = agg.ewwa_aggregate(updates, state, cfg.aggregator)
+                elif strategy == "fedadp":
+                    g_mean = mean([u.pseudo_gradient for u in updates])
+                    big_g, state = agg.fedadp_aggregate(updates, state,
+                                                        cfg.aggregator, g_mean)
+                elif strategy == "fedboosting":
+                    cross_val, train_metrics = _boosting_inputs(
+                        cfg, spec, params, updates, val_sets)
+                    big_g = agg.fedboosting_aggregate(updates, cross_val, train_metrics)
+                params = apply_global_update(params, big_g, cfg.global_step_scale)
+                test_acc, test_loss = evaluate(params, spec, test)
         except FedSimError as exc:
             raise RunError(r, exc) from exc
         wall_ms = int(round((time.perf_counter() - t0) * 1000))

@@ -17,6 +17,8 @@ from .tensors import ParameterSet
 
 SOFTMAX_REGRESSION = "softmax_regression"
 MLP = "mlp"
+MODEL_KINDS = (SOFTMAX_REGRESSION, MLP)
+ACTIVATIONS = ("relu", "sigmoid")
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,7 @@ class ModelSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.kind not in (SOFTMAX_REGRESSION, MLP):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
@@ -36,7 +38,7 @@ class ModelSpec:
             raise ValueError("num_classes must be >= 2")
         if self.kind == MLP and self.hidden_dim < 1:
             raise ValueError("mlp needs hidden_dim >= 1")
-        if self.activation not in ("relu", "sigmoid"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     def layer_shapes(self) -> list[tuple[str, tuple[int, ...]]]:

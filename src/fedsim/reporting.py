@@ -1,7 +1,10 @@
 """Config parsing, metrics persistence, and run comparison.
 
-Configs are flat JSON documents with strict unknown-key rejection;
-omitted keys fall back to the experiment defaults. Every run emits
+Configs are flat JSON documents whose keys are the fields of
+FederationConfig, with the LocalConfig and AggregatorConfig fields spliced
+in; those dataclasses give each key's default, type and range check.
+Unknown keys, wrong types and non-finite numbers are rejected here by
+name; integers are promoted where a float is expected. Every run emits
 metrics.jsonl (one object per round, deterministic content), summary.csv,
 timings.csv, and manifest.json under a directory keyed by the config
 hash, so identical configs always land in the same place.
@@ -10,8 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .aggregators import AggregatorConfig
@@ -19,36 +23,14 @@ from .errors import ConfigError, FedSimError
 from .federation import FederationConfig, RoundRecord
 from .training import LocalConfig
 
-# key -> (type, default, validator)
-_CONFIG_SCHEMA = {
-    "num_clients": (int, 3, lambda v: v >= 1),
-    "rounds": (int, 10, lambda v: v >= 1),
-    "model_kind": (str, "mlp", lambda v: v in ("softmax_regression", "mlp")),
-    "hidden_dim": (int, 32, lambda v: v >= 1),
-    "activation": (str, "relu", lambda v: v in ("relu", "sigmoid")),
-    "lr": (float, 0.01, lambda v: v > 0),
-    "momentum": (float, 0.9, lambda v: 0 <= v < 1),
-    "batch_size": (int, 64, lambda v: v >= 1),
-    "local_epochs": (int, 1, lambda v: v >= 1),
-    "strategy": (str, "fedavg", lambda v: v in (
-        "fedavg", "fedopt", "fedams", "ewwa", "fedadp", "fedboosting")),
-    "variant": (str, "adam", lambda v: v in ("adam", "adagrad", "yogi")),
-    "server_lr": (float, 1.0, lambda v: v > 0),
-    "beta1": (float, 0.9, lambda v: 0 <= v < 1),
-    "beta2": (float, 0.999, lambda v: 0 <= v < 1),
-    "epsilon": (float, 1e-8, lambda v: v > 0),
-    "adp_alpha": (float, 5.0, lambda v: v > 0),
-    "partition": (str, "iid", lambda v: v in ("iid", "label_skew")),
-    "concentration": (float, 0.5, lambda v: v > 0),
-    "data_source": (str, "synth", lambda v: v in ("synth", "idx")),
-    "idx_images": (str, "", lambda v: True),
-    "idx_labels": (str, "", lambda v: True),
-    "synth_classes": (int, 5, lambda v: v >= 2),
-    "synth_per_class": (int, 200, lambda v: v >= 1),
-    "synth_dim": (int, 16, lambda v: v >= 1),
-    "synth_spread": (float, 0.3, lambda v: v > 0),
-    "seed": (int, 0, lambda v: True),
-    "global_step_scale": (float, 1.0, lambda v: v > 0),
+_SECTIONS = {"local": LocalConfig, "aggregator": AggregatorConfig}
+_TYPES = {"int": int, "float": float, "str": str}
+
+# flat key -> (section or None, dataclass field), in field order
+CONFIG_KEYS = {
+    f.name: (top.name if top.name in _SECTIONS else None, f)
+    for top in fields(FederationConfig)
+    for f in (fields(_SECTIONS[top.name]) if top.name in _SECTIONS else (top,))
 }
 
 
@@ -66,48 +48,25 @@ class RunManifest:
 def config_from_dict(doc: dict) -> FederationConfig:
     """Strictly validate a flat config dict; unknown keys are errors."""
     for key in doc:
-        if key not in _CONFIG_SCHEMA:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    values = {}
-    for key, (typ, default, ok) in _CONFIG_SCHEMA.items():
-        raw = doc.get(key, default)
+    values = {None: {}, **{name: {} for name in _SECTIONS}}
+    for key, (section, f) in CONFIG_KEYS.items():
+        raw = doc.get(key, f.default)
+        typ = _TYPES[f.type]
         if typ is float and isinstance(raw, int) and not isinstance(raw, bool):
-            raw = float(raw)
+            try:
+                raw = float(raw)
+            except OverflowError:
+                raise ConfigError(f"config key {key!r}: beyond float range") from None
         if not isinstance(raw, typ) or isinstance(raw, bool):
-            raise ConfigError(f"config key {key!r}: expected {typ.__name__}")
-        if not ok(raw):
-            raise ConfigError(f"config key {key!r}: value {raw!r} out of range")
-        values[key] = raw
+            raise ConfigError(f"config key {key!r}: expected {f.type}")
+        if typ is float and not math.isfinite(raw):
+            raise ConfigError(f"config key {key!r}: value {raw!r} not finite")
+        values[section][key] = raw
     try:
-        return FederationConfig(
-            num_clients=values["num_clients"],
-            rounds=values["rounds"],
-            model_kind=values["model_kind"],
-            hidden_dim=values["hidden_dim"],
-            activation=values["activation"],
-            local=LocalConfig(
-                lr=values["lr"], momentum=values["momentum"],
-                batch_size=values["batch_size"],
-                local_epochs=values["local_epochs"],
-            ),
-            aggregator=AggregatorConfig(
-                strategy=values["strategy"], variant=values["variant"],
-                server_lr=values["server_lr"], beta1=values["beta1"],
-                beta2=values["beta2"], epsilon=values["epsilon"],
-                adp_alpha=values["adp_alpha"],
-            ),
-            partition=values["partition"],
-            concentration=values["concentration"],
-            data_source=values["data_source"],
-            idx_images=values["idx_images"],
-            idx_labels=values["idx_labels"],
-            synth_classes=values["synth_classes"],
-            synth_per_class=values["synth_per_class"],
-            synth_dim=values["synth_dim"],
-            synth_spread=values["synth_spread"],
-            seed=values["seed"],
-            global_step_scale=values["global_step_scale"],
-        )
+        return FederationConfig(**values[None], **{
+            name: cls(**values[name]) for name, cls in _SECTIONS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -123,35 +82,8 @@ def parse_config(path) -> FederationConfig:
 
 
 def config_to_dict(cfg: FederationConfig) -> dict:
-    return {
-        "num_clients": cfg.num_clients,
-        "rounds": cfg.rounds,
-        "model_kind": cfg.model_kind,
-        "hidden_dim": cfg.hidden_dim,
-        "activation": cfg.activation,
-        "lr": cfg.local.lr,
-        "momentum": cfg.local.momentum,
-        "batch_size": cfg.local.batch_size,
-        "local_epochs": cfg.local.local_epochs,
-        "strategy": cfg.aggregator.strategy,
-        "variant": cfg.aggregator.variant,
-        "server_lr": cfg.aggregator.server_lr,
-        "beta1": cfg.aggregator.beta1,
-        "beta2": cfg.aggregator.beta2,
-        "epsilon": cfg.aggregator.epsilon,
-        "adp_alpha": cfg.aggregator.adp_alpha,
-        "partition": cfg.partition,
-        "concentration": cfg.concentration,
-        "data_source": cfg.data_source,
-        "idx_images": cfg.idx_images,
-        "idx_labels": cfg.idx_labels,
-        "synth_classes": cfg.synth_classes,
-        "synth_per_class": cfg.synth_per_class,
-        "synth_dim": cfg.synth_dim,
-        "synth_spread": cfg.synth_spread,
-        "seed": cfg.seed,
-        "global_step_scale": cfg.global_step_scale,
-    }
+    return {key: getattr(getattr(cfg, section) if section else cfg, key)
+            for key, (section, _) in CONFIG_KEYS.items()}
 
 
 def canonical_config_text(cfg: FederationConfig) -> str:
@@ -208,15 +140,7 @@ def emit_metrics(records: list[RoundRecord], manifest: RunManifest,
         for rec in records:
             fh.write(f"{rec.round},{rec.wall_ms}\n")
     with open(paths["manifest"], "w") as fh:
-        json.dump({
-            "config_hash": manifest.config_hash,
-            "seed": manifest.seed,
-            "strategy": manifest.strategy,
-            "variant": manifest.variant,
-            "started_at": manifest.started_at,
-            "finished_at": manifest.finished_at,
-            "out_dir": manifest.out_dir,
-        }, fh, indent=2, sort_keys=True)
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths
 

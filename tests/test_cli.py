@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from fedsim.cli import main
+from fedsim.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, write_idx
 
 
 def write_config(tmp_path, doc):
@@ -45,21 +47,47 @@ def test_run_is_byte_deterministic(tmp_path):
         (dir_b / "metrics.jsonl").read_bytes()
 
 
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, {"no_such_key": 1})
-    code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "no_such_key" in capsys.readouterr().err
+    cases = [("no_such_key", 1), ("seed", -1), ("lr", float("nan")),
+             ("lr", float("inf")), ("lr", 10 ** 400)]
+    for key, value in cases:
+        cfg_path = write_config(tmp_path, {key: value})
+        code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert key in assert_one_line_error(capsys, "config error: ")
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, {"data_source": "idx",
-                                       "idx_images": str(tmp_path / "img"),
-                                       "idx_labels": str(tmp_path / "lbl")})
-    (tmp_path / "img").write_bytes(b"")
-    (tmp_path / "lbl").write_bytes(b"")
-    code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
-    assert code == 2
+    img, lbl = tmp_path / "img", tmp_path / "lbl"
+    idx_pair = {"data_source": "idx", "idx_images": str(img),
+                "idx_labels": str(lbl)}
+
+    def empty_files():
+        img.write_bytes(b"")
+        lbl.write_bytes(b"")
+
+    def one_class_labels():
+        write_idx(img, IDX_MAGIC_IMAGES, (20, 2, 2), np.arange(80))
+        write_idx(lbl, IDX_MAGIC_LABELS, (20,), np.zeros(20))
+
+    cases = [(idx_pair, empty_files), ({"data_source": "idx"}, lambda: None),
+             (dict(idx_pair, idx_images=str(tmp_path / "nothere")),
+              lambda: None),
+             (idx_pair, one_class_labels)]
+    for doc, make_files in cases:
+        make_files()
+        cfg_path = write_config(tmp_path, doc)
+        for argv in (["run", "--config", cfg_path, "--out", str(tmp_path / "o")],
+                     ["partition-preview", "--config", cfg_path]):
+            assert main(argv) == 2
+            assert_one_line_error(capsys, "error: ")
 
 
 def test_partition_preview(tmp_path, capsys):
@@ -81,12 +109,10 @@ def test_compare(tmp_path, capsys):
     assert "rounds_to_threshold" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_is_a_one_line_runtime_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"lr": 1e200, "strategy": "ewwa",
                                        "rounds": 3})
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
+    code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert code == 2
-    assert err.startswith("error: round 1: ") and err.count("\n") == 1
-    assert "non-finite" in err and "Traceback" not in err
+    assert "non-finite" in assert_one_line_error(capsys, "error: round 1: ")

@@ -1,10 +1,13 @@
 import json
+import math
+import random
 
 import pytest
 
 from fedsim.errors import ConfigError, FedSimError
 from fedsim.federation import RoundRecord
 from fedsim.reporting import (
+    CONFIG_KEYS,
     compare_runs,
     config_from_dict,
     config_hash,
@@ -79,6 +82,46 @@ class TestParseConfig:
     def test_bool_is_not_int(self, tmp_path):
         with pytest.raises(ConfigError, match="rounds"):
             parse_config(write_config(tmp_path, {"rounds": True}))
+
+    def test_config_hashes_are_stable(self):
+        pinned = [
+            ({}, "1a2a5fa637caa397c0f6506b42f3b123"
+                 "774c6bd83e4c68907d36b7fde9f560f2"),
+            ({"rounds": 7, "strategy": "ewwa", "variant": "yogi", "seed": 99,
+              "lr": 0.25}, "ecebf8a4d69efb506243d6d8552c4844"
+                           "3b07d859515e40890244ba5b0737e771"),
+            ({"strategy": "fedboosting", "partition": "label_skew",
+              "concentration": 0.3, "num_clients": 10},
+             "623823d8f8ca2e8218986dd586ce88b9f544b3621adacacf7dc8634afac7d2a5"),
+        ]
+        for doc, digest in pinned:
+            assert config_hash(config_from_dict(doc)) == digest
+
+    def test_seeded_fuzz_accepts_or_names_the_key(self):
+        rng = random.Random(0)
+        tiny = math.nextafter(0.0, 1.0)
+        edges = {
+            "int": [-1, 0, 1, 2, 3, 10 ** 400],
+            "float": [0.0, -0.0, tiny, -tiny, 1.0, math.nextafter(1.0, 0.0),
+                      -1.0, 1e308, 10 ** 400, 0, 1],
+            "str": ["", "mlp", "softmax_regression", "relu", "sigmoid",
+                    "tanh", "ewwa", "fedboosting", "yogi", "iid",
+                    "label_skew", "idx", "synth", "bogus"],
+        }
+        odd = [True, False, None, [], {}, float("nan"), float("inf"),
+               float("-inf")]
+        for key, (_, f) in CONFIG_KEYS.items():
+            wrong = 1.5 if f.type == "str" else "1"
+            seeded = ([rng.randint(-5, 100) for _ in range(4)]
+                      + [rng.uniform(-2.0, 2.0) for _ in range(4)]
+                      + rng.sample(edges["str"], 3))
+            for value in [f.default, wrong, *odd, *edges[f.type], *seeded]:
+                try:
+                    cfg = config_from_dict({key: value})
+                except ConfigError as exc:
+                    assert key in str(exc), (key, value, str(exc))
+                else:
+                    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 class TestEmitMetrics:
