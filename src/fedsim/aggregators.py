@@ -62,7 +62,7 @@ class AggregatorConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.server_lr <= 0 or self.epsilon <= 0 or self.adp_alpha <= 0:
+        if not (self.server_lr > 0 and self.epsilon > 0 and self.adp_alpha > 0):
             raise ValueError("server_lr, epsilon, adp_alpha must be > 0")
 
 

@@ -23,7 +23,8 @@ from .data import (
     synth_blobs,
 )
 from .errors import RunError, FedSimError
-from .models import ACTIVATIONS, MODEL_KINDS, ModelSpec, evaluate, init_params
+from .models import (ACTIVATIONS, MODEL_KINDS, ModelSpec, evaluate, init_params,
+                     segment_accuracy)
 from .tensors import ParameterSet, mean, zip_map
 from .training import ClientUpdate, LocalConfig, local_params_from_update, train_local
 
@@ -67,7 +68,7 @@ class FederationConfig:
         if self.synth_classes < 2:
             raise ValueError("synth_classes must be >= 2")
         for key in ("concentration", "synth_spread", "global_step_scale"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
@@ -120,15 +121,18 @@ def build_partition(cfg: FederationConfig, train: Dataset):
 
 
 def _boosting_inputs(cfg: FederationConfig, spec, global_params,
-                     updates: list[ClientUpdate], val_sets: list[Dataset]):
-    """Cross-validation matrix V[i][j] and train-accuracy vector T."""
-    c = len(updates)
-    cross_val = np.zeros((c, c))
-    for i, u in enumerate(updates):
-        local = local_params_from_update(global_params, u, cfg.local.lr)
-        for j in range(c):
-            acc_ij, _ = evaluate(local, spec, val_sets[j])
-            cross_val[i, j] = acc_ij
+                     updates: list[ClientUpdate], val_all: Dataset,
+                     val_starts: np.ndarray):
+    """Cross-validation matrix V[i][j] and train-accuracy vector T.
+
+    val_all holds every client's validation rows back to back, client j's
+    starting at row val_starts[j], so row i of V is one forward pass of
+    client i's local model.
+    """
+    cross_val = np.stack([
+        segment_accuracy(local_params_from_update(global_params, u, cfg.local.lr),
+                         spec, val_all.features, val_all.labels, val_starts)
+        for u in updates])
     train_metrics = np.array([u.train_accuracy for u in updates])
     return cross_val, train_metrics
 
@@ -147,16 +151,19 @@ def run_federation(cfg: FederationConfig, data: Dataset | None = None,
     state = agg.initial_state(params)
     strategy = cfg.aggregator.strategy
 
-    val_sets: list[Dataset] = []
     if strategy == "fedboosting":
         # each client holds out a local validation slice for the V matrix
-        split_shards = []
+        split_shards, val_sets = [], []
         for cid, shard in enumerate(shards):
             tr, val = split_train_test(shard, TRAIN_RATIO,
                                        client_seed(cfg.seed, 0, cid))
             split_shards.append(tr)
             val_sets.append(val)
         shards = split_shards
+        val_all = Dataset(np.concatenate([v.features for v in val_sets]),
+                          np.concatenate([v.labels for v in val_sets]),
+                          data.num_classes)
+        val_starts = np.cumsum([0] + [v.n for v in val_sets[:-1]])
 
     records: list[RoundRecord] = []
     for r in range(1, cfg.rounds + 1):
@@ -185,7 +192,7 @@ def run_federation(cfg: FederationConfig, data: Dataset | None = None,
                                                         cfg.aggregator, g_mean)
                 elif strategy == "fedboosting":
                     cross_val, train_metrics = _boosting_inputs(
-                        cfg, spec, params, updates, val_sets)
+                        cfg, spec, params, updates, val_all, val_starts)
                     big_g = agg.fedboosting_aggregate(updates, cross_val, train_metrics)
                 params = apply_global_update(params, big_g, cfg.global_step_scale)
                 test_acc, test_loss = evaluate(params, spec, test)

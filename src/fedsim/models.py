@@ -85,80 +85,95 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterSet:
     return ParameterSet(layers)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_parts(logits: np.ndarray, y: np.ndarray):
+    """exp of the row-max-shifted logits, its row sums, and each row's
+    log-softmax at its label; one exp serves the loss and the softmax.
+
+    The log-softmax is taken from the shifted logits directly, which keeps
+    it finite where the softmax itself underflows.
+    """
+    e = logits - logits.max(axis=1, keepdims=True)
+    label_z = e[np.arange(y.shape[0]), y]
+    np.exp(e, out=e)
+    row_sums = np.add.reduce(e, axis=1, keepdims=True)
+    return e, row_sums, label_z - np.log(row_sums[:, 0])
 
 
-def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy of integer labels under row-softmaxed logits."""
-    # log-softmax evaluated directly for numerical stability
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(y.shape[0]), y].mean())
+def _mean_loss(label_log_probs: np.ndarray) -> float:
+    """Mean cross-entropy: the sum and division ndarray.mean makes, without
+    its Python-level overhead."""
+    return float(-(np.add.reduce(label_log_probs) / label_log_probs.shape[0]))
 
 
-def _get(params: ParameterSet, name: str, spec_shape: tuple[int, ...]) -> np.ndarray:
-    return params.layer(name).reshape(spec_shape)
+def _layers(params: ParameterSet, spec: ModelSpec) -> dict[str, np.ndarray]:
+    """Each layer of `params` as a read-only array in the spec's shape."""
+    return {name: params.layer(name).reshape(shape)
+            for name, shape in spec.layer_shapes()}
 
 
-def _forward(params: ParameterSet, spec: ModelSpec, x: np.ndarray):
-    """Returns (logits, cache for backward)."""
+def _forward(w: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray):
+    """Returns (logits, hidden pre-activation, hidden activation); the
+    last two are None for softmax regression."""
     if spec.kind == SOFTMAX_REGRESSION:
-        w = _get(params, "out_weight", (spec.input_dim, spec.num_classes))
-        b = params.layer("out_bias")
-        return x @ w + b, (x,)
-    w1 = _get(params, "hidden_weight", (spec.input_dim, spec.hidden_dim))
-    b1 = params.layer("hidden_bias")
-    w2 = _get(params, "out_weight", (spec.hidden_dim, spec.num_classes))
-    b2 = params.layer("out_bias")
-    z1 = x @ w1 + b1
+        logits = x @ w["out_weight"]
+        logits += w["out_bias"]
+        return logits, None, None
+    z1 = x @ w["hidden_weight"]
+    z1 += w["hidden_bias"]
     if spec.activation == "relu":
         h = np.maximum(z1, 0.0)
     else:
         h = 1.0 / (1.0 + np.exp(-z1))
-    return h @ w2 + b2, (x, z1, h, w2)
+    logits = h @ w["out_weight"]
+    logits += w["out_bias"]
+    return logits, z1, h
+
+
+def loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
+                       g: dict[str, np.ndarray], x: np.ndarray,
+                       y: np.ndarray) -> float:
+    """Mean cross-entropy of rows x with labels y; writes its analytic
+    gradient into the arrays of g.
+
+    w and g map each layer name to an array in the spec's shape, such as
+    the views ParameterSet.views gives of a weight and a gradient vector.
+    Every element-wise expression keeps the operation order of the
+    reference loop in tests/test_training.py, which checks that training
+    results match it bit for bit.
+    """
+    n = x.shape[0]
+    logits, z1, h = _forward(w, spec, x)
+    dlogits, row_sums, label_log_probs = _softmax_parts(logits, y)
+    loss = _mean_loss(label_log_probs)
+    dlogits /= row_sums
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    inputs = x if spec.kind == SOFTMAX_REGRESSION else h
+    np.matmul(inputs.T, dlogits, out=g["out_weight"])
+    np.add.reduce(dlogits, axis=0, out=g["out_bias"])
+    if spec.kind == MLP:
+        dz1 = dlogits @ w["out_weight"].T
+        if spec.activation == "relu":
+            dz1 *= z1 > 0.0
+        else:
+            dz1 *= h
+            dz1 *= 1.0 - h
+        np.matmul(x.T, dz1, out=g["hidden_weight"])
+        np.add.reduce(dz1, axis=0, out=g["hidden_bias"])
+    return loss
 
 
 def loss_and_grad(params: ParameterSet, spec: ModelSpec, batch: Batch):
     """Mean cross-entropy over the batch and its analytic gradient."""
-    x, y = batch.features, batch.labels
-    n = x.shape[0]
-    logits, cache = _forward(params, spec, x)
-    loss = _cross_entropy(logits, y)
-    probs = _softmax_rows(logits)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-
-    if spec.kind == SOFTMAX_REGRESSION:
-        (x,) = cache
-        grads = {
-            "out_weight": x.T @ dlogits,
-            "out_bias": dlogits.sum(axis=0),
-        }
-    else:
-        x, z1, h, w2 = cache
-        dh = dlogits @ w2.T
-        if spec.activation == "relu":
-            dz1 = dh * (z1 > 0.0)
-        else:
-            dz1 = dh * h * (1.0 - h)
-        grads = {
-            "hidden_weight": x.T @ dz1,
-            "hidden_bias": dz1.sum(axis=0),
-            "out_weight": h.T @ dlogits,
-            "out_bias": dlogits.sum(axis=0),
-        }
-    grad = params.with_flat(
-        np.concatenate([grads[name] for name in params.names], axis=None))
-    return loss, grad
+    grad = params.to_flat()  # a writable vector the kernel overwrites
+    loss = loss_and_grad_into(spec, _layers(params, spec), params.views(grad),
+                              batch.features, batch.labels)
+    return loss, params.with_flat(grad)
 
 
 def predict(params: ParameterSet, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index."""
-    logits, _ = _forward(params, spec, x)
+    logits, _, _ = _forward(_layers(params, spec), spec, x)
     return np.argmax(logits, axis=1)
 
 
@@ -167,9 +182,32 @@ def evaluate(params: ParameterSet, spec: ModelSpec, data) -> tuple[float, float]
     if data.features.shape[0] < 1:
         raise EmptyInputError("evaluate on empty dataset")
     batch = Batch(data.features, data.labels)
-    logits, _ = _forward(params, spec, batch.features)
-    loss = _cross_entropy(logits, batch.labels)
+    logits, _, _ = _forward(_layers(params, spec), spec, batch.features)
+    loss = _mean_loss(_softmax_parts(logits, batch.labels)[2])
     if not np.isfinite(loss):
         raise NonFiniteError("evaluate: non-finite loss")
     accuracy = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
     return accuracy, loss
+
+
+def segment_accuracy(params: ParameterSet, spec: ModelSpec, x: np.ndarray,
+                     y: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Accuracy on each row segment of (x, y) from one forward pass.
+
+    Segment k holds rows starts[k] up to the next start (or the end).
+    Each value is the exact count/n that evaluate returns on that segment
+    alone, and the call raises NonFiniteError wherever evaluate would: on
+    a segment whose mean cross-entropy is not finite.
+    """
+    bounds = np.append(starts, y.shape[0])
+    sizes = np.diff(bounds)
+    if bounds[0] != 0 or np.any(sizes < 1):
+        raise EmptyInputError("segment_accuracy: segments must be non-empty "
+                              "and start at row 0")
+    logits, _, _ = _forward(_layers(params, spec), spec, x)
+    log_probs = _softmax_parts(logits, y)[2]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if not np.isfinite(_mean_loss(log_probs[start:stop])):
+            raise NonFiniteError("evaluate: non-finite loss")
+    correct = np.argmax(logits, axis=1) == y
+    return np.add.reduceat(correct, starts, dtype=np.int64) / sizes

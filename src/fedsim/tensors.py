@@ -21,13 +21,18 @@ from .errors import EmptyFederationError, NonFiniteError, StructureMismatchError
 Layout = tuple[tuple[str, tuple[int, ...], int, int], ...]
 
 
-def _frozen(layout: Layout, flat: np.ndarray) -> np.ndarray:
-    """Check that an owned vector is finite, then make it read-only."""
+def _check_finite(layout: Layout, flat: np.ndarray) -> None:
+    """Raise NonFiniteError naming the first layer that holds NaN or Inf."""
     finite = np.isfinite(flat)
     if not finite.all():
         bad = int(np.argmin(finite))
         name = next(n for n, _, start, stop in layout if start <= bad < stop)
         raise NonFiniteError(f"layer {name!r}: non-finite values")
+
+
+def _frozen(layout: Layout, flat: np.ndarray) -> np.ndarray:
+    """Check that an owned vector is finite, then make it read-only."""
+    _check_finite(layout, flat)
     flat.flags.writeable = False
     return flat
 
@@ -107,6 +112,19 @@ class ParameterSet:
     def to_flat(self) -> np.ndarray:
         """A writable copy of the whole vector, in layer order."""
         return self._flat.copy()
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each layer's name mapped to a view, in the layer's shape, of a
+        (P,) array laid out like this set. Writing to a view writes to
+        `flat`, which lets a caller update weights in place."""
+        if flat.shape != self._flat.shape:
+            raise ValueError(f"flat shape {flat.shape} != {self._flat.shape}")
+        return {n: flat[start:stop].reshape(s) for n, s, start, stop in self._layout}
+
+    def check_finite(self, flat: np.ndarray) -> None:
+        """The check every set passes when built, on a (P,) array laid out
+        like this set: NonFiniteError naming the first non-finite layer."""
+        _check_finite(self._layout, flat)
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
         """A set with this layout holding a frozen copy of one flat vector.

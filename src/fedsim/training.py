@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyInputError
-from .models import Batch, ModelSpec, evaluate, loss_and_grad
+from .errors import EmptyInputError, NonFiniteError
+from .models import ModelSpec, evaluate, loss_and_grad_into
 from .tensors import ParameterSet, zip_map
 
 
@@ -25,7 +25,7 @@ class LocalConfig:
     local_epochs: int = 1
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("lr must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
@@ -44,27 +44,46 @@ class ClientUpdate:
 
 def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
                 cfg: LocalConfig, seed: int, client_id: int = 0) -> ClientUpdate:
-    """One round of local SGD-with-momentum; velocity starts at zero."""
+    """One round of local SGD-with-momentum; velocity starts at zero.
+
+    The weights w, velocity u and gradient g live in private writable
+    vectors that every step updates in place. Each step checks g, u and w
+    for NaN or Inf, in that order, as building them as ParameterSets would.
+    """
     if shard.n < 1:
         raise EmptyInputError("client shard is empty")
     rng = np.random.default_rng(seed)
-    params = global_params
-    velocity = ParameterSet.zeros_like(global_params)
+    w = global_params.to_flat()
+    u = np.zeros_like(w)
+    g = np.empty_like(w)
+    step = np.empty_like(w)
+    w_views, g_views = global_params.views(w), global_params.views(g)
     last_epoch_losses: list[float] = []
-    for epoch in range(cfg.local_epochs):
-        order = rng.permutation(shard.n)
-        epoch_losses = []
-        for start in range(0, shard.n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            batch = Batch(shard.features[idx], shard.labels[idx])
-            loss, grad = loss_and_grad(params, spec, batch)
-            velocity = zip_map(velocity, grad, lambda u, g: cfg.momentum * u + g)
-            params = zip_map(params, velocity, lambda w, u: w - cfg.lr * u)
-            epoch_losses.append(loss)
-        last_epoch_losses = epoch_losses
-    pseudo_gradient = zip_map(global_params, params,
-                              lambda w0, w: (w0 - w) * (1.0 / cfg.lr))
-    train_accuracy, _ = evaluate(params, spec, shard)
+    try:
+        for _ in range(cfg.local_epochs):
+            order = rng.permutation(shard.n)
+            features, labels = shard.features[order], shard.labels[order]
+            epoch_losses = []
+            for start in range(0, shard.n, cfg.batch_size):
+                stop = start + cfg.batch_size
+                loss = loss_and_grad_into(spec, w_views, g_views,
+                                          features[start:stop],
+                                          labels[start:stop])
+                u *= cfg.momentum
+                u += g
+                np.multiply(cfg.lr, u, out=step)
+                w -= step
+                for vec in (g, u, w):
+                    global_params.check_finite(vec)
+                epoch_losses.append(loss)
+            last_epoch_losses = epoch_losses
+        params = global_params.with_flat(w)
+        pseudo_gradient = zip_map(global_params, params,
+                                  lambda w0, w: (w0 - w) * (1.0 / cfg.lr))
+        train_accuracy, _ = evaluate(params, spec, shard)
+    except NonFiniteError as exc:
+        raise NonFiniteError(
+            f"client {client_id}: local training: {exc}") from exc
     return ClientUpdate(
         client_id=client_id,
         pseudo_gradient=pseudo_gradient,

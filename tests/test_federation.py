@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from fedsim.aggregators import AggregatorConfig
-from fedsim.data import synth_blobs, split_train_test
-from fedsim.errors import StructureMismatchError
+from fedsim.data import Dataset, synth_blobs, split_train_test
+from fedsim.errors import NonFiniteError, StructureMismatchError
 from fedsim.federation import (
     FederationConfig,
     TRAIN_RATIO,
+    _boosting_inputs,
     apply_global_update,
     client_seed,
     load_checkpoint,
     run_federation,
     save_checkpoint,
 )
-from fedsim.models import Batch, ModelSpec, init_params, loss_and_grad
+from fedsim.models import Batch, ModelSpec, evaluate, init_params, loss_and_grad
 from fedsim.tensors import ParameterSet, zip_map
-from fedsim.training import LocalConfig
+from fedsim.training import ClientUpdate, LocalConfig, local_params_from_update
 
 
 def small_cfg(**kwargs):
@@ -58,6 +59,19 @@ class TestRunFederation:
         with pytest.raises(ValueError):
             small_cfg(rounds=0)
 
+    @pytest.mark.parametrize("make", [
+        lambda nan: LocalConfig(lr=nan),
+        lambda nan: AggregatorConfig(server_lr=nan),
+        lambda nan: AggregatorConfig(epsilon=nan),
+        lambda nan: AggregatorConfig(adp_alpha=nan),
+        lambda nan: FederationConfig(concentration=nan),
+        lambda nan: FederationConfig(synth_spread=nan),
+        lambda nan: FederationConfig(global_step_scale=nan),
+    ])
+    def test_nan_is_rejected_by_the_python_api(self, make):
+        with pytest.raises(ValueError, match="must be > 0"):
+            make(float("nan"))
+
     def test_deterministic_records(self):
         a = run_federation(small_cfg())
         b = run_federation(small_cfg())
@@ -83,7 +97,6 @@ class TestRunFederation:
                          num_classes=data.num_classes)
         params = init_params(spec, cfg.seed)
         batch = Batch(train.features, train.labels)
-        from fedsim.models import evaluate
         for rec in records:
             # centralized full-batch gradient descent, same starting point;
             # the federated local step size cancels out of the trajectory
@@ -121,6 +134,62 @@ class TestRunFederation:
         assert client_seed(1, 2, 3) == client_seed(1, 2, 3)
         assert client_seed(1, 2, 3) != client_seed(1, 2, 4)
         assert client_seed(1, 2, 3) != client_seed(1, 3, 3)
+
+
+class TestBoostingInputs:
+    SIZES = [1, 9, 64, 131, 2]  # unequal validation sets, one of one row
+    CFG = small_cfg(local=LocalConfig(lr=0.05))
+
+    def inputs(self, spec, scales):
+        rng = np.random.default_rng(5)
+        global_params = init_params(spec, 1)
+        updates = [
+            ClientUpdate(cid, global_params.with_flat(
+                rng.normal(scale=scale, size=global_params.to_flat().size)),
+                10, 0.5, 0.25 * cid)
+            for cid, scale in enumerate(scales)]
+        data = synth_blobs(spec.num_classes, 80, spec.input_dim, 1.5, 3)
+        data = data.subset(rng.permutation(data.n))
+        val_sets = []
+        for size in self.SIZES:
+            val_sets.append(data.subset(np.arange(size)))
+            data = data.subset(np.arange(size, data.n))
+        val_all = Dataset(np.concatenate([v.features for v in val_sets]),
+                          np.concatenate([v.labels for v in val_sets]),
+                          spec.num_classes)
+        starts = np.cumsum([0] + self.SIZES[:-1])
+        return global_params, updates, val_sets, val_all, starts
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("mlp", input_dim=32, num_classes=10, hidden_dim=64),
+        ModelSpec("mlp", input_dim=6, num_classes=4, hidden_dim=5,
+                  activation="sigmoid"),
+        ModelSpec("softmax_regression", input_dim=6, num_classes=4),
+    ], ids=lambda s: f"{s.kind}-{s.activation}")
+    def test_matrix_equals_the_per_pair_evaluate_loop(self, spec):
+        global_params, updates, val_sets, val_all, starts = self.inputs(
+            spec, [0.0, 1.0, 5.0, 20.0])
+        cross_val, train_metrics = _boosting_inputs(
+            self.CFG, spec, global_params, updates, val_all, starts)
+        expected = np.array([
+            [evaluate(local_params_from_update(global_params, u, self.CFG.local.lr),
+                      spec, val)[0] for val in val_sets]
+            for u in updates])
+        assert np.array_equal(cross_val, expected)
+        assert np.array_equal(train_metrics, [0.0, 0.25, 0.5, 0.75])
+
+    def test_overflowing_local_weights_raise_non_finite(self):
+        spec = ModelSpec("mlp", input_dim=32, num_classes=10, hidden_dim=64)
+        global_params, updates, val_sets, val_all, starts = self.inputs(
+            spec, [1.0, 1e306])
+        local = local_params_from_update(global_params, updates[1],
+                                         self.CFG.local.lr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="evaluate: non-finite loss"):
+                evaluate(local, spec, val_sets[0])
+            with pytest.raises(NonFiniteError, match="evaluate: non-finite loss"):
+                _boosting_inputs(self.CFG, spec, global_params, updates,
+                                 val_all, starts)
 
 
 class TestCheckpoint:

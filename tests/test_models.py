@@ -10,6 +10,7 @@ from fedsim.models import (
     init_params,
     loss_and_grad,
     predict,
+    segment_accuracy,
 )
 from fedsim.tensors import l2_norm, zip_map
 
@@ -169,6 +170,14 @@ class TestEvaluate:
         zeros = init_params(spec, 0).map(np.zeros_like)
         preds = predict(zeros, spec, np.zeros((4, 2)))
         assert np.all(preds == 0)
+
+    def test_segment_accuracy_rejects_empty_segments(self):
+        spec = SPECS[0]
+        params = init_params(spec, 0)
+        x, y = np.zeros((4, spec.input_dim)), np.zeros(4, dtype=int)
+        for starts in ([0, 2, 2], [0, 4], [1, 2]):
+            with pytest.raises(EmptyInputError):
+                segment_accuracy(params, spec, x, y, np.array(starts))
 
     def test_overflowing_logits_raise_non_finite(self):
         spec = ModelSpec("softmax_regression", input_dim=2, num_classes=3)

@@ -62,8 +62,23 @@ class TestParameterSet:
 
     def test_with_flat_names_non_finite_layer(self):
         ps = make([1.0, 2.0], [3.0, 4.0])
+        bad = np.array([1.0, 2.0, 3.0, np.inf])
         with pytest.raises(NonFiniteError, match="'b'"):
-            ps.with_flat([1.0, 2.0, 3.0, np.inf])
+            ps.with_flat(bad)
+        with pytest.raises(NonFiniteError, match="^layer 'b': non-finite values$"):
+            ps.check_finite(bad)
+        ps.check_finite(np.array([1.0, 2.0, 3.0, 4.0]))
+
+    def test_views_write_through_to_the_flat_array(self):
+        ps = ParameterSet([("a", (2,), [1.0, 2.0]), ("m", (2, 3), np.zeros(6))])
+        flat = ps.to_flat()
+        views = ps.views(flat)
+        assert {n: v.shape for n, v in views.items()} == {"a": (2,), "m": (2, 3)}
+        views["m"][1, 0] = 7.0
+        views["a"] += 1.0
+        np.testing.assert_array_equal(flat, [2.0, 3.0, 0, 0, 0, 7.0, 0, 0])
+        with pytest.raises(ValueError, match="shape"):
+            ps.views(np.zeros(7))
 
     def test_flat_round_trip(self):
         rng = np.random.default_rng(3)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fedsim.data import synth_blobs
+from fedsim.errors import NonFiniteError
 from fedsim.models import Batch, ModelSpec, init_params, loss_and_grad
+from fedsim.tensors import ParameterSet, zip_map
 from fedsim.training import LocalConfig, local_params_from_update, train_local
 
 SPEC = ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=6)
@@ -119,3 +121,138 @@ def test_train_loss_trend_decreases_over_rounds():
         first.append(losses[0])
         last.append(losses[-1])
     assert np.median(last) < np.median(first)
+
+
+# Reference: the local SGD loop before it kept its state in place. Each
+# step builds a fresh gradient set (with the loss and the softmax taking
+# separate exps) and two more sets through zip_map.
+
+def _ref_forward(params, spec, x):
+    if spec.kind == "softmax_regression":
+        w = params.layer("out_weight").reshape(spec.input_dim, spec.num_classes)
+        return x @ w + params.layer("out_bias"), (x,)
+    w1 = params.layer("hidden_weight").reshape(spec.input_dim, spec.hidden_dim)
+    w2 = params.layer("out_weight").reshape(spec.hidden_dim, spec.num_classes)
+    z1 = x @ w1 + params.layer("hidden_bias")
+    if spec.activation == "relu":
+        h = np.maximum(z1, 0.0)
+    else:
+        h = 1.0 / (1.0 + np.exp(-z1))
+    return h @ w2 + params.layer("out_bias"), (x, z1, h, w2)
+
+
+def _ref_softmax_rows(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_cross_entropy(logits, y):
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(y.shape[0]), y].mean())
+
+
+def _ref_loss_and_grad(params, spec, batch):
+    x, y = batch.features, batch.labels
+    n = x.shape[0]
+    logits, cache = _ref_forward(params, spec, x)
+    loss = _ref_cross_entropy(logits, y)
+    dlogits = _ref_softmax_rows(logits).copy()
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    if spec.kind == "softmax_regression":
+        (x,) = cache
+        grads = {"out_weight": x.T @ dlogits, "out_bias": dlogits.sum(axis=0)}
+    else:
+        x, z1, h, w2 = cache
+        dh = dlogits @ w2.T
+        if spec.activation == "relu":
+            dz1 = dh * (z1 > 0.0)
+        else:
+            dz1 = dh * h * (1.0 - h)
+        grads = {"hidden_weight": x.T @ dz1, "hidden_bias": dz1.sum(axis=0),
+                 "out_weight": h.T @ dlogits, "out_bias": dlogits.sum(axis=0)}
+    return loss, params.with_flat(
+        np.concatenate([grads[name] for name in params.names], axis=None))
+
+
+def _ref_train_local(global_params, spec, shard, cfg, seed):
+    """(pseudo-gradient, train loss, train accuracy)."""
+    rng = np.random.default_rng(seed)
+    params = global_params
+    velocity = ParameterSet.zeros_like(global_params)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(shard.n)
+        losses = []
+        for start in range(0, shard.n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            batch = Batch(shard.features[idx], shard.labels[idx])
+            loss, grad = _ref_loss_and_grad(params, spec, batch)
+            velocity = zip_map(velocity, grad, lambda u, g: cfg.momentum * u + g)
+            params = zip_map(params, velocity, lambda w, u: w - cfg.lr * u)
+            losses.append(loss)
+    pseudo = zip_map(global_params, params, lambda w0, w: (w0 - w) * (1.0 / cfg.lr))
+    logits, _ = _ref_forward(params, spec, shard.features)
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == shard.labels))
+    return pseudo, float(np.mean(losses)), accuracy
+
+
+REF_SPECS = [
+    ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=6, activation="relu"),
+    ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=6,
+              activation="sigmoid"),
+    ModelSpec("softmax_regression", input_dim=4, num_classes=3),
+]
+
+
+@pytest.mark.parametrize("spec", REF_SPECS, ids=lambda s: f"{s.kind}-{s.activation}")
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_train_local_is_bit_identical_to_the_reference_loop(spec, momentum):
+    shard = make_shard(seed=4, per_class=11)  # 33 rows: batches 7 x 4 + 5
+    cfg = LocalConfig(lr=0.3, momentum=momentum, batch_size=7, local_epochs=2)
+    params = init_params(spec, 9)
+    for rnd in range(3):
+        update = train_local(params, spec, shard, cfg, seed=20 + rnd)
+        pseudo, loss, accuracy = _ref_train_local(params, spec, shard, cfg,
+                                                  seed=20 + rnd)
+        assert np.array_equal(update.pseudo_gradient.to_flat(), pseudo.to_flat())
+        assert update.train_loss == loss
+        assert update.train_accuracy == accuracy
+        params = local_params_from_update(params, update, cfg.lr)
+
+
+def test_divergence_names_the_client_and_the_phase():
+    shard = make_shard(seed=2)
+    params = init_params(SPEC, 3)
+    cfg = LocalConfig(lr=1e200, batch_size=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError) as ref:
+            _ref_train_local(params, SPEC, shard, cfg, seed=1)
+        with pytest.raises(NonFiniteError) as err:
+            train_local(params, SPEC, shard, cfg, seed=1, client_id=3)
+    # the same check fails first, on the same layer
+    assert str(err.value) == f"client 3: local training: {ref.value}"
+    assert str(err.value).startswith("client 3: local training: layer '")
+    assert str(err.value).endswith("': non-finite values")
+
+
+def test_each_step_checks_gradient_then_velocity_then_weights(monkeypatch):
+    """A gradient that is NaN only in its last layer, with a step that
+    overflows every weight: the gradient's layer is the one named."""
+    import fedsim.training
+
+    def nan_in_last_layer(spec, w, g, x, y):
+        for view in g.values():
+            view[...] = 10.0
+        g["out_weight"].flat[0] = np.nan
+        return 0.0
+
+    monkeypatch.setattr(fedsim.training, "loss_and_grad_into", nan_in_last_layer)
+    spec = ModelSpec("softmax_regression", input_dim=4, num_classes=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError) as err:
+            train_local(init_params(spec, 0), spec, make_shard(),
+                        LocalConfig(lr=1e308, momentum=0.0), seed=0)
+    assert str(err.value) == ("client 0: local training: "
+                              "layer 'out_weight': non-finite values")
