@@ -129,17 +129,16 @@ def _forward(w: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray):
     return logits, z1, h
 
 
-def loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
-                       g: dict[str, np.ndarray], x: np.ndarray,
-                       y: np.ndarray) -> float:
+def _loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
+                        g: dict[str, np.ndarray], x: np.ndarray,
+                        y: np.ndarray) -> float:
     """Mean cross-entropy of rows x with labels y; writes its analytic
     gradient into the arrays of g.
 
-    w and g map each layer name to an array in the spec's shape, such as
-    the views ParameterSet.views gives of a weight and a gradient vector.
-    Every element-wise expression keeps the operation order of the
-    reference loop in tests/test_training.py, which checks that training
-    results match it bit for bit.
+    w and g map each layer name to an array in the spec's shape. Every
+    element-wise expression keeps the operation order of the reference
+    loop in tests/test_training.py, which checks that training results
+    match it bit for bit.
     """
     n = x.shape[0]
     logits, z1, h = _forward(w, spec, x)
@@ -163,12 +162,21 @@ def loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
     return loss
 
 
-def loss_and_grad(params: ParameterSet, spec: ModelSpec, batch: Batch):
-    """Mean cross-entropy over the batch and its analytic gradient."""
-    grad = params.to_flat()  # a writable vector the kernel overwrites
-    loss = loss_and_grad_into(spec, _layers(params, spec), params.views(grad),
-                              batch.features, batch.labels)
-    return loss, params.with_flat(grad)
+def loss_and_grad(params, spec: ModelSpec, batch: Batch, grad=None):
+    """Mean cross-entropy over the batch and its analytic gradient.
+
+    By default params is a ParameterSet and the gradient comes back as a
+    new one. Local training instead passes params and grad as the
+    ParameterSet.views of a weight and a gradient vector; the gradient is
+    then written into grad's arrays in place, and grad is returned.
+    """
+    if grad is not None:
+        return _loss_and_grad_into(spec, params, grad, batch.features,
+                                   batch.labels), grad
+    flat = params.to_flat()  # a writable vector the kernel overwrites
+    loss = _loss_and_grad_into(spec, _layers(params, spec), params.views(flat),
+                               batch.features, batch.labels)
+    return loss, params.with_flat(flat)
 
 
 def predict(params: ParameterSet, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
@@ -194,20 +202,16 @@ def segment_accuracy(params: ParameterSet, spec: ModelSpec, x: np.ndarray,
                      y: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Accuracy on each row segment of (x, y) from one forward pass.
 
-    Segment k holds rows starts[k] up to the next start (or the end).
-    Each value is the exact count/n that evaluate returns on that segment
+    Segment k holds rows starts[k] up to the next start (or the end);
+    the segments must be non-empty and starts[0] must be 0. Each value is the exact count/n that evaluate returns on that segment
     alone, and the call raises NonFiniteError wherever evaluate would: on
     a segment whose mean cross-entropy is not finite.
     """
     bounds = np.append(starts, y.shape[0])
-    sizes = np.diff(bounds)
-    if bounds[0] != 0 or np.any(sizes < 1):
-        raise EmptyInputError("segment_accuracy: segments must be non-empty "
-                              "and start at row 0")
     logits, _, _ = _forward(_layers(params, spec), spec, x)
     log_probs = _softmax_parts(logits, y)[2]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if not np.isfinite(_mean_loss(log_probs[start:stop])):
             raise NonFiniteError("evaluate: non-finite loss")
     correct = np.argmax(logits, axis=1) == y
-    return np.add.reduceat(correct, starts, dtype=np.int64) / sizes
+    return np.add.reduceat(correct, starts, dtype=np.int64) / np.diff(bounds)

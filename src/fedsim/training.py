@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyInputError, NonFiniteError
-from .models import ModelSpec, evaluate, loss_and_grad_into
+from .models import Batch, ModelSpec, evaluate, loss_and_grad
 from .tensors import ParameterSet, zip_map
 
 
@@ -66,9 +66,8 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
             epoch_losses = []
             for start in range(0, shard.n, cfg.batch_size):
                 stop = start + cfg.batch_size
-                loss = loss_and_grad_into(spec, w_views, g_views,
-                                          features[start:stop],
-                                          labels[start:stop])
+                batch = Batch(features[start:stop], labels[start:stop])
+                loss, _ = loss_and_grad(w_views, spec, batch, g_views)
                 u *= cfg.momentum
                 u += g
                 np.multiply(cfg.lr, u, out=step)

@@ -10,7 +10,6 @@ from fedsim.models import (
     init_params,
     loss_and_grad,
     predict,
-    segment_accuracy,
 )
 from fedsim.tensors import l2_norm, zip_map
 
@@ -124,6 +123,19 @@ class TestLossAndGrad:
             after, _ = loss_and_grad(stepped, spec, batch)
             assert after < loss
 
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.activation}")
+    def test_in_place_gradient_equals_the_returned_one(self, spec):
+        params = init_params(spec, 6)
+        batch = random_batch(np.random.default_rng(5), spec)
+        loss, grad = loss_and_grad(params, spec, batch)
+        w, g = params.to_flat(), np.full(grad.to_flat().shape, np.nan)
+        views = params.views(g)
+        in_place, out = loss_and_grad(params.views(w), spec, batch, views)
+        assert out is views
+        assert in_place == loss
+        assert np.array_equal(g, grad.to_flat())
+        assert np.array_equal(w, params.to_flat())  # weights left as they were
+
 
 class TestEvaluate:
     def test_perfect_labels(self):
@@ -170,14 +182,6 @@ class TestEvaluate:
         zeros = init_params(spec, 0).map(np.zeros_like)
         preds = predict(zeros, spec, np.zeros((4, 2)))
         assert np.all(preds == 0)
-
-    def test_segment_accuracy_rejects_empty_segments(self):
-        spec = SPECS[0]
-        params = init_params(spec, 0)
-        x, y = np.zeros((4, spec.input_dim)), np.zeros(4, dtype=int)
-        for starts in ([0, 2, 2], [0, 4], [1, 2]):
-            with pytest.raises(EmptyInputError):
-                segment_accuracy(params, spec, x, y, np.array(starts))
 
     def test_overflowing_logits_raise_non_finite(self):
         spec = ModelSpec("softmax_regression", input_dim=2, num_classes=3)

@@ -242,13 +242,13 @@ def test_each_step_checks_gradient_then_velocity_then_weights(monkeypatch):
     overflows every weight: the gradient's layer is the one named."""
     import fedsim.training
 
-    def nan_in_last_layer(spec, w, g, x, y):
+    def nan_in_last_layer(w, spec, batch, g):
         for view in g.values():
             view[...] = 10.0
         g["out_weight"].flat[0] = np.nan
-        return 0.0
+        return 0.0, g
 
-    monkeypatch.setattr(fedsim.training, "loss_and_grad_into", nan_in_last_layer)
+    monkeypatch.setattr(fedsim.training, "loss_and_grad", nan_in_last_layer)
     spec = ModelSpec("softmax_regression", input_dim=4, num_classes=3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError) as err:
