@@ -31,7 +31,6 @@ from .models import Batch, ModelSpec, evaluate, init_params, loss_and_grad
 from .reporting import compare_runs, emit_metrics, parse_config
 from .tensors import (
     ParameterSet,
-    cross_client_softmax,
     flat_inner_product,
     l2_norm,
     zip_map,

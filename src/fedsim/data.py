@@ -7,7 +7,7 @@ and two client partitioners: IID round-robin and Dirichlet label skew.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class Partition:
     """Disjoint, covering, non-empty index shards over a parent dataset."""
 
     shards: list  # list of int64 index arrays
-    parent_size: int = field(default=0)
+    parent_size: int
 
     def __post_init__(self):
         seen = np.concatenate([np.asarray(s, dtype=np.int64) for s in self.shards])
@@ -63,8 +63,7 @@ class Partition:
             raise ValueError("empty shard")
         if len(np.unique(seen)) != len(seen):
             raise ValueError("shards overlap")
-        size = self.parent_size or len(seen)
-        if not np.array_equal(np.sort(seen), np.arange(size)):
+        if not np.array_equal(np.sort(seen), np.arange(self.parent_size)):
             raise ValueError("shards do not cover the parent index set")
 
 

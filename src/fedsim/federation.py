@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aggregators as agg
-from .aggregators import AggregatorConfig, AggregatorState
+from .aggregators import AggregatorConfig
 from .data import (
     Dataset,
     load_idx,
@@ -137,9 +137,8 @@ def _boosting_inputs(cfg: FederationConfig, spec, global_params,
     return cross_val, train_metrics
 
 
-def run_federation(cfg: FederationConfig, data: Dataset | None = None,
-                   checkpoint_every: int = 0, checkpoint_path=None,
-                   ) -> list[RoundRecord]:
+def run_federation(cfg: FederationConfig,
+                   data: Dataset | None = None) -> list[RoundRecord]:
     """Run the full federation loop and return one record per round."""
     if data is None:
         data = load_source(cfg)
@@ -177,7 +176,6 @@ def run_federation(cfg: FederationConfig, data: Dataset | None = None,
                                 client_seed(cfg.seed, r, cid), client_id=cid)
                     for cid in range(cfg.num_clients)
                 ]
-                updates.sort(key=lambda u: u.client_id)
                 if strategy == "fedavg":
                     big_g = agg.fedavg_aggregate(updates)
                 elif strategy == "fedopt":
@@ -208,45 +206,4 @@ def run_federation(cfg: FederationConfig, data: Dataset | None = None,
             per_client_train_loss=per_client,
             wall_ms=wall_ms,
         ))
-        if checkpoint_every and checkpoint_path and r % checkpoint_every == 0:
-            save_checkpoint(checkpoint_path, r, params, state)
     return records
-
-
-def save_checkpoint(path, round_num: int, params: ParameterSet,
-                    state: AggregatorState) -> None:
-    """Snapshot (round, weights, aggregator state) to one .npz file."""
-    arrays = {"__round__": np.array([round_num, state.round], dtype=np.int64)}
-    for prefix, ps in (("w", params), ("m", state.m), ("v", state.v),
-                       ("x", state.v_max)):
-        for name, shape, values in ps:
-            arrays[f"{prefix}:{name}"] = values
-            arrays[f"{prefix}_shape:{name}"] = np.array(shape, dtype=np.int64)
-    ids = sorted(state.smoothed_angles)
-    arrays["__adp_ids__"] = np.array(ids, dtype=np.int64)
-    arrays["__adp_angles__"] = np.array(
-        [state.smoothed_angles[i] for i in ids])
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path) -> tuple[int, ParameterSet, AggregatorState]:
-    with np.load(path) as blob:
-        round_num, state_round = (int(x) for x in blob["__round__"])
-
-        def collect(prefix):
-            layers = []
-            for key in blob.files:
-                if key.startswith(f"{prefix}:"):
-                    name = key.split(":", 1)[1]
-                    layers.append((name, tuple(blob[f"{prefix}_shape:{name}"]),
-                                   blob[key]))
-            layers.sort(key=lambda t: t[0])
-            return ParameterSet(layers)
-
-        params = collect("w")
-        angles = dict(zip((int(i) for i in blob["__adp_ids__"]),
-                          (float(a) for a in blob["__adp_angles__"])))
-        state = AggregatorState(round=state_round, m=collect("m"),
-                                v=collect("v"), v_max=collect("x"),
-                                smoothed_angles=angles)
-    return round_num, params, state

@@ -179,12 +179,6 @@ def loss_and_grad(params, spec: ModelSpec, batch: Batch, grad=None):
     return loss, params.with_flat(flat)
 
 
-def predict(params: ParameterSet, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    logits, _, _ = _forward(_layers(params, spec), spec, x)
-    return np.argmax(logits, axis=1)
-
-
 def evaluate(params: ParameterSet, spec: ModelSpec, data) -> tuple[float, float]:
     """(accuracy, mean cross-entropy loss) over a whole dataset."""
     if data.features.shape[0] < 1:
@@ -203,9 +197,10 @@ def segment_accuracy(params: ParameterSet, spec: ModelSpec, x: np.ndarray,
     """Accuracy on each row segment of (x, y) from one forward pass.
 
     Segment k holds rows starts[k] up to the next start (or the end);
-    the segments must be non-empty and starts[0] must be 0. Each value is the exact count/n that evaluate returns on that segment
-    alone, and the call raises NonFiniteError wherever evaluate would: on
-    a segment whose mean cross-entropy is not finite.
+    the segments must be non-empty and starts[0] must be 0. Each value
+    is the exact count/n that evaluate returns on that segment alone, and
+    the call raises NonFiniteError wherever evaluate would: on a segment
+    whose mean cross-entropy is not finite.
     """
     bounds = np.append(starts, y.shape[0])
     logits, _, _ = _forward(_layers(params, spec), spec, x)

@@ -192,12 +192,3 @@ def column_softmax(mat: np.ndarray) -> np.ndarray:
     mat /= mat.sum(axis=0)
     return mat
 
-
-def cross_client_softmax(sets: Sequence[ParameterSet]) -> list[ParameterSet]:
-    """Element-wise softmax across clients.
-
-    For each scalar position, the C values held by the C input sets are
-    mapped through a softmax, so each client receives a per-element
-    proportion and the proportions at every position sum to one.
-    """
-    return [sets[0].with_flat(p) for p in column_softmax(stack(sets))]

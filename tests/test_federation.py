@@ -10,9 +10,7 @@ from fedsim.federation import (
     _boosting_inputs,
     apply_global_update,
     client_seed,
-    load_checkpoint,
     run_federation,
-    save_checkpoint,
 )
 from fedsim.models import Batch, ModelSpec, evaluate, init_params, loss_and_grad
 from fedsim.tensors import ParameterSet, zip_map
@@ -190,28 +188,3 @@ class TestBoostingInputs:
             with pytest.raises(NonFiniteError, match="evaluate: non-finite loss"):
                 _boosting_inputs(self.CFG, spec, global_params, updates,
                                  val_all, starts)
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        from fedsim.aggregators import initial_state
-        spec = ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=5)
-        params = init_params(spec, 3)
-        state = initial_state(params)
-        state = state.__class__(round=4, m=params, v=params, v_max=params,
-                                smoothed_angles={0: 0.5, 2: 1.25})
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, 4, params, state)
-        round_num, params2, state2 = load_checkpoint(path)
-        assert round_num == 4
-        assert state2.round == 4
-        np.testing.assert_array_equal(params.to_flat(), params2.to_flat())
-        np.testing.assert_array_equal(state.m.to_flat(), state2.m.to_flat())
-        assert state2.smoothed_angles == {0: 0.5, 2: 1.25}
-
-    def test_emitted_during_run(self, tmp_path):
-        path = tmp_path / "run.npz"
-        run_federation(small_cfg(rounds=4), checkpoint_every=2,
-                       checkpoint_path=path)
-        round_num, _, _ = load_checkpoint(path)
-        assert round_num == 4

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from fedsim.models import (
     evaluate,
     init_params,
     loss_and_grad,
-    predict,
 )
 from fedsim.tensors import l2_norm, zip_map
 
@@ -143,7 +144,10 @@ class TestEvaluate:
         spec = SPECS[0]
         params = init_params(spec, 2)
         feats = rng.normal(size=(30, spec.input_dim))
-        labels = predict(params, spec, feats)
+        weight = params.layer("out_weight").reshape(spec.input_dim,
+                                                    spec.num_classes)
+        logits = feats @ weight + params.layer("out_bias")
+        labels = np.argmax(logits, axis=1)
         data = Dataset(feats, labels, spec.num_classes)
         acc, _ = evaluate(params, spec, data)
         assert acc == 1.0
@@ -165,23 +169,36 @@ class TestEvaluate:
         labels = rng.integers(0, spec.num_classes, size=100)
         data = Dataset(feats, labels, spec.num_classes)
         acc, _ = evaluate(params, spec, data)
+        hidden_w = params.layer("hidden_weight").reshape(spec.input_dim,
+                                                         spec.hidden_dim)
+        out_w = params.layer("out_weight").reshape(spec.hidden_dim,
+                                                   spec.num_classes)
         correct = 0
         for row, label in zip(feats, labels):
-            if predict(params, spec, row[None, :])[0] == label:
+            hidden = np.maximum(row @ hidden_w + params.layer("hidden_bias"), 0.0)
+            logits = hidden @ out_w + params.layer("out_bias")
+            if np.argmax(logits) == label:
                 correct += 1
         assert acc == pytest.approx(correct / 100.0, abs=1e-15)
 
     def test_empty_dataset_rejected(self):
         spec = SPECS[0]
         params = init_params(spec, 0)
+        empty = types.SimpleNamespace(features=np.empty((0, spec.input_dim)),
+                                      labels=np.empty(0, dtype=int))
+        with pytest.raises(EmptyInputError):
+            evaluate(params, spec, empty)
         with pytest.raises((EmptyInputError, ValueError)):
             Dataset(np.empty((0, spec.input_dim)), np.empty(0, dtype=int), 4)
 
     def test_argmax_tie_breaks_to_lowest_class(self):
         spec = ModelSpec("softmax_regression", input_dim=2, num_classes=3)
         zeros = init_params(spec, 0).map(np.zeros_like)
-        preds = predict(zeros, spec, np.zeros((4, 2)))
-        assert np.all(preds == 0)
+        feats = np.zeros((4, 2))
+        for label, expected in ((0, 1.0), (1, 0.0)):
+            data = Dataset(feats, np.full(4, label), spec.num_classes)
+            acc, _ = evaluate(zeros, spec, data)
+            assert acc == expected
 
     def test_overflowing_logits_raise_non_finite(self):
         spec = ModelSpec("softmax_regression", input_dim=2, num_classes=3)

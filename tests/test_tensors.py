@@ -8,10 +8,11 @@ from fedsim.errors import (
 )
 from fedsim.tensors import (
     ParameterSet,
-    cross_client_softmax,
+    column_softmax,
     flat_inner_product,
     l2_norm,
     mean,
+    stack,
     zip_map,
 )
 
@@ -133,52 +134,60 @@ class TestZipMap:
 
 
 class TestCrossClientSoftmax:
+    """column_softmax over the clients' stacked sets: row c holds client
+    c's per-element proportions."""
+
     def test_single_client_is_identity_proportion(self):
         rng = np.random.default_rng(1)
-        (out,) = cross_client_softmax([random_set(rng)])
-        np.testing.assert_array_equal(out.to_flat(), 1.0)
+        (row,) = column_softmax(stack([random_set(rng)]))
+        np.testing.assert_array_equal(row, 1.0)
 
     def test_two_client_exp_ratio(self):
         lo = make([0.0])
         hi = make([np.log(3.0)])
-        p_lo, p_hi = cross_client_softmax([lo, hi])
-        assert p_lo.layer("a")[0] == pytest.approx(0.25, abs=1e-12)
-        assert p_hi.layer("a")[0] == pytest.approx(0.75, abs=1e-12)
+        p_lo, p_hi = column_softmax(stack([lo, hi]))
+        assert p_lo[0] == pytest.approx(0.25, abs=1e-12)
+        assert p_hi[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_equal_inputs_give_uniform_proportions(self):
         same = make([7.0, 7.0])
-        outs = cross_client_softmax([same, same, same])
-        for out in outs:
-            np.testing.assert_allclose(out.to_flat(), 1.0 / 3.0, atol=1e-12)
+        rows = column_softmax(stack([same, same, same]))
+        np.testing.assert_allclose(rows, 1.0 / 3.0, atol=1e-12)
 
     def test_empty_stack_rejected(self):
         with pytest.raises(EmptyFederationError):
-            cross_client_softmax([])
+            stack([])
 
     @pytest.mark.parametrize("num_clients", [2, 3, 5])
     def test_proportions_sum_to_one(self, num_clients):
         rng = np.random.default_rng(num_clients)
-        stack = [random_set(rng, sizes=(5000, 5000)) for _ in range(num_clients)]
-        outs = cross_client_softmax(stack)
-        total = np.sum([o.to_flat() for o in outs], axis=0)
-        np.testing.assert_allclose(total, 1.0, atol=1e-9)
-        for o in outs:
-            flat = o.to_flat()
-            assert np.all(flat > 0.0) and np.all(flat <= 1.0)
+        sets = [random_set(rng, sizes=(5000, 5000)) for _ in range(num_clients)]
+        rows = column_softmax(stack(sets))
+        np.testing.assert_allclose(rows.sum(axis=0), 1.0, atol=1e-9)
+        assert np.all(rows > 0.0) and np.all(rows <= 1.0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(9)
-        stack = [random_set(rng) for _ in range(4)]
-        shifted = [s.map(lambda v: v + 17.5) for s in stack]
-        base = cross_client_softmax(stack)
-        moved = cross_client_softmax(shifted)
-        for b, m in zip(base, moved):
-            np.testing.assert_allclose(b.to_flat(), m.to_flat(), atol=1e-9)
+        sets = [random_set(rng) for _ in range(4)]
+        shifted = [s.map(lambda v: v + 17.5) for s in sets]
+        base = column_softmax(stack(sets))
+        moved = column_softmax(stack(shifted))
+        np.testing.assert_allclose(base, moved, atol=1e-9)
 
     def test_large_magnitudes_stay_finite(self):
-        stack = [make([800.0, -800.0]), make([-800.0, 800.0])]
-        for out in cross_client_softmax(stack):
-            assert np.all(np.isfinite(out.to_flat()))
+        rows = column_softmax(stack([make([800.0, -800.0]),
+                                     make([-800.0, 800.0])]))
+        assert np.all(np.isfinite(rows))
+        np.testing.assert_array_equal(rows, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_works_in_place_and_returns_its_argument(self):
+        # ewwa relies on this to keep its peak memory down
+        rng = np.random.default_rng(4)
+        mat = stack([random_set(rng) for _ in range(3)])
+        assert not np.allclose(mat.sum(axis=0), 1.0)
+        assert column_softmax(mat) is mat
+        np.testing.assert_allclose(mat.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(mat > 0.0)
 
 
 class TestInnerProduct:
