@@ -196,11 +196,6 @@ def gompertz_contribution(smoothed_angle: float, alpha: float) -> float:
     return alpha * (1.0 - 1.0 / np.exp(np.exp(alpha * (1.0 - smoothed_angle))))
 
 
-def _scalar_softmax(values: np.ndarray) -> np.ndarray:
-    e = np.exp(values - values.max())
-    return e / e.sum()
-
-
 def fedadp_aggregate(updates: list[ClientUpdate], state: AggregatorState,
                      cfg: AggregatorConfig, global_mean_grad: ParameterSet,
                      ) -> tuple[ParameterSet, AggregatorState]:
@@ -224,7 +219,7 @@ def fedadp_aggregate(updates: list[ClientUpdate], state: AggregatorState,
     contribs = np.array([
         gompertz_contribution(angles[u.client_id], cfg.adp_alpha) for u in updates
     ])
-    weights = _scalar_softmax(contribs)
+    weights = column_softmax(contribs)
     return (_weighted_sum(updates, g, weights),
             replace(state, round=r, smoothed_angles=angles))
 
@@ -239,7 +234,8 @@ def fedboosting_aggregate(updates: list[ClientUpdate], cross_val: np.ndarray,
     updates, g = _stacked(updates)
     c = len(updates)
     cross_val = np.asarray(cross_val, dtype=np.float64)
-    train_metrics = np.asarray(train_metrics, dtype=np.float64)
+    # a copy: column_softmax below overwrites its argument
+    train_metrics = np.array(train_metrics, dtype=np.float64)
     if cross_val.shape != (c, c):
         raise StructureMismatchError(
             f"cross_val shape {cross_val.shape}, expected {(c, c)}"
@@ -248,7 +244,7 @@ def fedboosting_aggregate(updates: list[ClientUpdate], cross_val: np.ndarray,
         raise StructureMismatchError(
             f"train_metrics shape {train_metrics.shape}, expected {(c,)}"
         )
-    s = _scalar_softmax(train_metrics)
+    s = column_softmax(train_metrics)
     off_diag_sums = cross_val.sum(axis=1) - np.diag(cross_val)
-    weights = _scalar_softmax(s * off_diag_sums)
+    weights = column_softmax(s * off_diag_sums)
     return _weighted_sum(updates, g, weights)

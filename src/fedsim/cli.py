@@ -16,8 +16,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError, FedSimError
-from .federation import build_partition, load_source, run_federation, TRAIN_RATIO
-from .data import split_train_test
+from .federation import build_partition, load_source, run_federation
 from .reporting import (
     compare_runs,
     emit_metrics,
@@ -43,9 +42,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_partition_preview(args) -> int:
     cfg = parse_config(args.config)
-    data = load_source(cfg)
-    train, _ = split_train_test(data, TRAIN_RATIO, cfg.seed)
-    partition = build_partition(cfg, train)
+    train, _, partition = build_partition(cfg, load_source(cfg))
     print(f"partition={cfg.partition} clients={cfg.num_clients} "
           f"train_samples={train.n}")
     for cid, idx in enumerate(partition.shards):

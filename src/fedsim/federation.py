@@ -23,10 +23,10 @@ from .data import (
     synth_blobs,
 )
 from .errors import RunError, FedSimError
-from .models import (ACTIVATIONS, MODEL_KINDS, ModelSpec, evaluate, init_params,
-                     segment_accuracy)
+from .models import (ACTIVATIONS, MODEL_KINDS, ModelSpec, cross_accuracy, evaluate,
+                     init_params)
 from .tensors import ParameterSet, mean, zip_map
-from .training import ClientUpdate, LocalConfig, local_params_from_update, train_local
+from .training import LocalConfig, local_params_from_update, train_local
 
 TRAIN_RATIO = 0.9
 
@@ -114,27 +114,16 @@ def build_model_spec(cfg: FederationConfig, data: Dataset) -> ModelSpec:
     )
 
 
-def build_partition(cfg: FederationConfig, train: Dataset):
+def build_partition(cfg: FederationConfig, data: Dataset):
+    """The seeded train/test split of data, then the client partition of
+    its train side: (train, test, partition)."""
+    train, test = split_train_test(data, TRAIN_RATIO, cfg.seed)
     if cfg.partition == "iid":
-        return partition_iid(train, cfg.num_clients, cfg.seed)
-    return partition_label_skew(train, cfg.num_clients, cfg.concentration, cfg.seed)
-
-
-def _boosting_inputs(cfg: FederationConfig, spec, global_params,
-                     updates: list[ClientUpdate], val_all: Dataset,
-                     val_starts: np.ndarray):
-    """Cross-validation matrix V[i][j] and train-accuracy vector T.
-
-    val_all holds every client's validation rows back to back, client j's
-    starting at row val_starts[j], so row i of V is one forward pass of
-    client i's local model.
-    """
-    cross_val = np.stack([
-        segment_accuracy(local_params_from_update(global_params, u, cfg.local.lr),
-                         spec, val_all.features, val_all.labels, val_starts)
-        for u in updates])
-    train_metrics = np.array([u.train_accuracy for u in updates])
-    return cross_val, train_metrics
+        partition = partition_iid(train, cfg.num_clients, cfg.seed)
+    else:
+        partition = partition_label_skew(train, cfg.num_clients,
+                                         cfg.concentration, cfg.seed)
+    return train, test, partition
 
 
 def run_federation(cfg: FederationConfig,
@@ -142,8 +131,7 @@ def run_federation(cfg: FederationConfig,
     """Run the full federation loop and return one record per round."""
     if data is None:
         data = load_source(cfg)
-    train, test = split_train_test(data, TRAIN_RATIO, cfg.seed)
-    partition = build_partition(cfg, train)
+    train, test, partition = build_partition(cfg, data)
     shards = [train.subset(idx) for idx in partition.shards]
     spec = build_model_spec(cfg, data)
     params = init_params(spec, cfg.seed)
@@ -162,7 +150,7 @@ def run_federation(cfg: FederationConfig,
         val_all = Dataset(np.concatenate([v.features for v in val_sets]),
                           np.concatenate([v.labels for v in val_sets]),
                           data.num_classes)
-        val_starts = np.cumsum([0] + [v.n for v in val_sets[:-1]])
+        val_sizes = [v.n for v in val_sets]
 
     records: list[RoundRecord] = []
     for r in range(1, cfg.rounds + 1):
@@ -189,9 +177,12 @@ def run_federation(cfg: FederationConfig,
                     big_g, state = agg.fedadp_aggregate(updates, state,
                                                         cfg.aggregator, g_mean)
                 elif strategy == "fedboosting":
-                    cross_val, train_metrics = _boosting_inputs(
-                        cfg, spec, params, updates, val_all, val_starts)
-                    big_g = agg.fedboosting_aggregate(updates, cross_val, train_metrics)
+                    big_g = agg.fedboosting_aggregate(
+                        updates,
+                        cross_accuracy(
+                            (local_params_from_update(params, u, cfg.local.lr)
+                             for u in updates), spec, val_all, val_sizes),
+                        [u.train_accuracy for u in updates])
                 params = apply_global_update(params, big_g, cfg.global_step_scale)
                 test_acc, test_loss = evaluate(params, spec, test)
         except FedSimError as exc:

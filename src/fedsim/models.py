@@ -192,21 +192,27 @@ def evaluate(params: ParameterSet, spec: ModelSpec, data) -> tuple[float, float]
     return accuracy, loss
 
 
-def segment_accuracy(params: ParameterSet, spec: ModelSpec, x: np.ndarray,
-                     y: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Accuracy on each row segment of (x, y) from one forward pass.
-
-    Segment k holds rows starts[k] up to the next start (or the end);
-    the segments must be non-empty and starts[0] must be 0. Each value
-    is the exact count/n that evaluate returns on that segment alone, and
-    the call raises NonFiniteError wherever evaluate would: on a segment
-    whose mean cross-entropy is not finite.
-    """
-    bounds = np.append(starts, y.shape[0])
-    logits, _, _ = _forward(_layers(params, spec), spec, x)
-    log_probs = _softmax_parts(logits, y)[2]
+def _set_accuracy(params: ParameterSet, spec: ModelSpec, data,
+                  bounds: np.ndarray) -> np.ndarray:
+    """One model's accuracy on each row block of data between two bounds."""
+    logits, _, _ = _forward(_layers(params, spec), spec, data.features)
+    log_probs = _softmax_parts(logits, data.labels)[2]
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if not np.isfinite(_mean_loss(log_probs[start:stop])):
             raise NonFiniteError("evaluate: non-finite loss")
-    correct = np.argmax(logits, axis=1) == y
-    return np.add.reduceat(correct, starts, dtype=np.int64) / np.diff(bounds)
+    correct = np.argmax(logits, axis=1) == data.labels
+    return np.add.reduceat(correct, bounds[:-1], dtype=np.int64) / np.diff(bounds)
+
+
+def cross_accuracy(models, spec: ModelSpec, data, sizes) -> np.ndarray:
+    """The C x C matrix of each model's accuracy on each of C datasets.
+
+    data holds the datasets back to back, dataset j being the next
+    sizes[j] rows; every size must be at least 1. Entry [i, j] is the
+    exact count/n that evaluate returns for model i on dataset j alone,
+    and the call raises NonFiniteError wherever evaluate would. Each model
+    is one forward pass over all rows, so `models` may be a generator.
+    """
+    bounds = np.cumsum([0, *sizes])
+    return np.stack([_set_accuracy(params, spec, data, bounds)
+                     for params in models])

@@ -83,9 +83,6 @@ class ParameterSet:
     def __iter__(self) -> Iterator[tuple[str, tuple[int, ...], np.ndarray]]:
         return ((n, s, self._flat[start:stop]) for n, s, start, stop in self._layout)
 
-    def __len__(self) -> int:
-        return len(self._layout)
-
     def check_structure(self, other: "ParameterSet") -> None:
         if self._layout is other._layout:
             return
@@ -183,7 +180,8 @@ def l2_norm(a: ParameterSet) -> float:
 
 
 def column_softmax(mat: np.ndarray) -> np.ndarray:
-    """Softmax down every column of a (C, P) array, in place.
+    """Softmax down every column of a (C, P) array, or over a (C,) array,
+    in place.
 
     The column maximum is subtracted before exponentiation.
     """

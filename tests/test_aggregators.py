@@ -367,6 +367,12 @@ class TestFedBoosting:
         expected = scalar_boosting_oracle(t, cross_val)
         np.testing.assert_allclose(g.to_flat(), expected, atol=1e-12)
 
+    def test_float64_train_metrics_are_left_unmodified(self):
+        t = np.array([0.9, 0.8, 0.7])
+        updates = [upd(c, [float(c)]) for c in range(3)]
+        fedboosting_aggregate(updates, np.full((3, 3), 0.5), t)
+        np.testing.assert_array_equal(t, [0.9, 0.8, 0.7])
+
     def test_bad_matrix_shape(self):
         updates = [upd(0, [1.0]), upd(1, [1.0])]
         with pytest.raises(StructureMismatchError):

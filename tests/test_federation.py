@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from fedsim.aggregators import AggregatorConfig
+from fedsim import federation
+from fedsim.aggregators import AggregatorConfig, fedboosting_aggregate
 from fedsim.data import Dataset, synth_blobs, split_train_test
 from fedsim.errors import NonFiniteError, StructureMismatchError
 from fedsim.federation import (
     FederationConfig,
     TRAIN_RATIO,
-    _boosting_inputs,
     apply_global_update,
+    build_model_spec,
+    build_partition,
     client_seed,
     run_federation,
 )
-from fedsim.models import Batch, ModelSpec, evaluate, init_params, loss_and_grad
+from fedsim.models import (Batch, ModelSpec, cross_accuracy, evaluate, init_params,
+                           loss_and_grad)
 from fedsim.tensors import ParameterSet, zip_map
 from fedsim.training import ClientUpdate, LocalConfig, local_params_from_update
 
@@ -136,7 +139,7 @@ class TestRunFederation:
 
 class TestBoostingInputs:
     SIZES = [1, 9, 64, 131, 2]  # unequal validation sets, one of one row
-    CFG = small_cfg(local=LocalConfig(lr=0.05))
+    LR = 0.05
 
     def inputs(self, spec, scales):
         rng = np.random.default_rng(5)
@@ -155,8 +158,9 @@ class TestBoostingInputs:
         val_all = Dataset(np.concatenate([v.features for v in val_sets]),
                           np.concatenate([v.labels for v in val_sets]),
                           spec.num_classes)
-        starts = np.cumsum([0] + self.SIZES[:-1])
-        return global_params, updates, val_sets, val_all, starts
+        models = (local_params_from_update(global_params, u, self.LR)
+                  for u in updates)
+        return global_params, updates, val_sets, val_all, models
 
     @pytest.mark.parametrize("spec", [
         ModelSpec("mlp", input_dim=32, num_classes=10, hidden_dim=64),
@@ -165,26 +169,63 @@ class TestBoostingInputs:
         ModelSpec("softmax_regression", input_dim=6, num_classes=4),
     ], ids=lambda s: f"{s.kind}-{s.activation}")
     def test_matrix_equals_the_per_pair_evaluate_loop(self, spec):
-        global_params, updates, val_sets, val_all, starts = self.inputs(
+        global_params, updates, val_sets, val_all, models = self.inputs(
             spec, [0.0, 1.0, 5.0, 20.0])
-        cross_val, train_metrics = _boosting_inputs(
-            self.CFG, spec, global_params, updates, val_all, starts)
+        cross_val = cross_accuracy(models, spec, val_all, self.SIZES)
         expected = np.array([
-            [evaluate(local_params_from_update(global_params, u, self.CFG.local.lr),
+            [evaluate(local_params_from_update(global_params, u, self.LR),
                       spec, val)[0] for val in val_sets]
             for u in updates])
         assert np.array_equal(cross_val, expected)
-        assert np.array_equal(train_metrics, [0.0, 0.25, 0.5, 0.75])
 
     def test_overflowing_local_weights_raise_non_finite(self):
         spec = ModelSpec("mlp", input_dim=32, num_classes=10, hidden_dim=64)
-        global_params, updates, val_sets, val_all, starts = self.inputs(
+        global_params, updates, val_sets, val_all, models = self.inputs(
             spec, [1.0, 1e306])
-        local = local_params_from_update(global_params, updates[1],
-                                         self.CFG.local.lr)
+        local = local_params_from_update(global_params, updates[1], self.LR)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="evaluate: non-finite loss"):
                 evaluate(local, spec, val_sets[0])
             with pytest.raises(NonFiniteError, match="evaluate: non-finite loss"):
-                _boosting_inputs(self.CFG, spec, global_params, updates,
-                                 val_all, starts)
+                cross_accuracy(models, spec, val_all, self.SIZES)
+
+    def test_run_passes_each_clients_inputs_to_the_strategy(self, monkeypatch):
+        """What a fedboosting run hands fedboosting_aggregate: the clients'
+        train accuracies in client order, and each local model's accuracy
+        on each client's held-out split."""
+        cfg = small_cfg(num_clients=4, rounds=2, partition="label_skew",
+                        synth_per_class=60,
+                        aggregator=AggregatorConfig(strategy="fedboosting"))
+        seen = []
+
+        def spy(updates, cross_val, train_metrics):
+            seen.append((params[0], list(updates), np.array(cross_val),
+                         list(train_metrics)))
+            return fedboosting_aggregate(updates, cross_val, train_metrics)
+
+        def keep_params(w, big_g, step_scale):
+            params[0] = apply_global_update(w, big_g, step_scale)
+            return params[0]
+
+        data = synth_blobs(cfg.synth_classes, cfg.synth_per_class,
+                           cfg.synth_dim, cfg.synth_spread, cfg.seed)
+        train, _, partition = build_partition(cfg, data)
+        val_sets = [split_train_test(train.subset(idx), TRAIN_RATIO,
+                                     client_seed(cfg.seed, 0, cid))[1]
+                    for cid, idx in enumerate(partition.shards)]
+        spec = build_model_spec(cfg, data)
+        params = [init_params(spec, cfg.seed)]
+        monkeypatch.setattr(federation.agg, "fedboosting_aggregate", spy)
+        monkeypatch.setattr(federation, "apply_global_update", keep_params)
+        run_federation(cfg, data)
+
+        assert len(seen) == cfg.rounds
+        for global_params, updates, cross_val, train_metrics in seen:
+            assert [u.client_id for u in updates] == [0, 1, 2, 3]
+            assert train_metrics == [u.train_accuracy for u in updates]
+            expected = np.array([
+                [evaluate(local_params_from_update(global_params, u,
+                                                   cfg.local.lr),
+                          spec, val)[0] for val in val_sets]
+                for u in updates])
+            assert np.array_equal(cross_val, expected)
