@@ -6,6 +6,7 @@ and two client partitioners: IID round-robin and Dirichlet label skew.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -91,7 +92,7 @@ def read_idx(path, expected_magic: int | None = None) -> tuple[int, tuple[int, .
     if len(raw) < header_len:
         raise IdxLengthError(f"{path}: truncated dimension header")
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
-    expected = int(np.prod(dims)) if dims else 0
+    expected = math.prod(dims) if dims else 0  # Python ints: no wrap-around
     payload = raw[header_len:]
     if len(payload) != expected:
         raise IdxLengthError(
@@ -118,6 +119,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise IdxConsistencyError(
             f"image count {n} != label count {lbl_dims[0]}"
         )
+    if rows * cols == 0:
+        raise IdxFormatError(f"{images_path}: {rows} x {cols} images have no pixels")
     features = img_data.reshape(n, rows * cols).astype(np.float64) / 255.0
     labels = lbl_data.astype(np.int64)
     if np.unique(labels).size < 2:

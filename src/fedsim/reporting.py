@@ -73,8 +73,11 @@ def config_from_dict(doc: dict) -> FederationConfig:
 
 def parse_config(path) -> FederationConfig:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read config file '{path}': {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -160,14 +163,21 @@ def make_manifest(cfg: FederationConfig, out_dir, started_at: float,
 
 
 def load_metrics(run_dir_path) -> list[dict]:
+    """The rows of a run's metrics.jsonl, each an object with a numeric
+    round and test_acc."""
     path = Path(run_dir_path) / "metrics.jsonl"
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         rows = [json.loads(line) for line in lines if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise FedSimError(f"{run_dir_path}: cannot read metrics ({exc})") from exc
     if not rows:
         raise FedSimError(f"{run_dir_path}: metrics file is empty")
+    for row in rows:
+        if not (isinstance(row, dict) and all(
+                type(row.get(key)) in (int, float) for key in ("round", "test_acc"))):
+            raise FedSimError(
+                f"{path}: a row is not an object with a numeric round and test_acc")
     return rows
 
 
@@ -178,9 +188,11 @@ def compare_runs(dirs: list, threshold: float, out_path=None) -> list[dict]:
         metrics = load_metrics(d)
         manifest_path = Path(d) / "manifest.json"
         try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
             raise FedSimError(f"{d}: cannot read manifest ({exc})") from exc
+        if not isinstance(manifest, dict):
+            raise FedSimError(f"{manifest_path}: top level must be an object")
         accs = [row["test_acc"] for row in metrics]
         reached = [row["round"] for row in metrics if row["test_acc"] >= threshold]
         rows.append({
@@ -191,12 +203,15 @@ def compare_runs(dirs: list, threshold: float, out_path=None) -> list[dict]:
             "rounds_to_threshold": reached[0] if reached else "never",
         })
     if out_path is not None:
-        with open(out_path, "w") as fh:
-            fh.write("strategy,variant,final_test_acc,best_test_acc,"
-                     "rounds_to_threshold\n")
-            for row in rows:
-                fh.write(f"{row['strategy']},{row['variant']},"
-                         f"{_fmt(row['final_test_acc'])},"
-                         f"{_fmt(row['best_test_acc'])},"
-                         f"{row['rounds_to_threshold']}\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write("strategy,variant,final_test_acc,best_test_acc,"
+                         "rounds_to_threshold\n")
+                for row in rows:
+                    fh.write(f"{row['strategy']},{row['variant']},"
+                             f"{_fmt(row['final_test_acc'])},"
+                             f"{_fmt(row['best_test_acc'])},"
+                             f"{row['rounds_to_threshold']}\n")
+        except OSError as exc:
+            raise FedSimError(f"cannot write '{out_path}': {exc.strerror}") from exc
     return rows

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +65,20 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert key in assert_one_line_error(capsys, "config error: ")
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    Path.mkdir,
+    lambda path: path.write_bytes(b'{"rounds": "\xff"}'),
+], ids=["missing", "directory", "not-utf-8"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, make):
+    path = tmp_path / "config.json"
+    make(path)
+    for argv in (["run", "--config", str(path), "--out", str(tmp_path / "o")],
+                 ["partition-preview", "--config", str(path)]):
+        assert main(argv) == 1
+        assert str(path) in assert_one_line_error(capsys, "config error: ")
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     img, lbl = tmp_path / "img", tmp_path / "lbl"
     idx_pair = {"data_source": "idx", "idx_images": str(img),
@@ -77,10 +92,19 @@ def test_runtime_error_exit_code(tmp_path, capsys):
         write_idx(img, IDX_MAGIC_IMAGES, (20, 2, 2), np.arange(80))
         write_idx(lbl, IDX_MAGIC_LABELS, (20,), np.zeros(20))
 
+    def images_beyond_int64():  # 4 * 2**31 * 2**31 wraps to 0 in int64
+        write_idx(img, IDX_MAGIC_IMAGES, (4, 2 ** 31, 2 ** 31), np.zeros(0))
+        write_idx(lbl, IDX_MAGIC_LABELS, (4,), np.arange(4) % 2)
+
+    def images_without_pixels():
+        write_idx(img, IDX_MAGIC_IMAGES, (40, 0, 5), np.zeros(0))
+        write_idx(lbl, IDX_MAGIC_LABELS, (40,), np.arange(40) % 2)
+
     cases = [(idx_pair, empty_files), ({"data_source": "idx"}, lambda: None),
              (dict(idx_pair, idx_images=str(tmp_path / "nothere")),
               lambda: None),
-             (idx_pair, one_class_labels)]
+             (idx_pair, one_class_labels), (idx_pair, images_beyond_int64),
+             (idx_pair, images_without_pixels)]
     for doc, make_files in cases:
         make_files()
         cfg_path = write_config(tmp_path, doc)
@@ -107,6 +131,29 @@ def test_compare(tmp_path, capsys):
                  "--out", str(csv_path)]) == 0
     assert csv_path.exists()
     assert "rounds_to_threshold" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,content,out", [
+    ("metrics.jsonl", b'{"round": 1}\n', None),
+    ("metrics.jsonl", b"[1, 2]\n", None),
+    ("metrics.jsonl", b"\xff\n", None),
+    ("manifest.json", b"[]\n", None),
+    (None, None, "missing/comparison.csv"),
+], ids=["row-without-test_acc", "row-not-an-object", "metrics-not-utf-8",
+        "manifest-not-an-object", "out-in-missing-directory"])
+def test_compare_on_a_malformed_run_is_a_runtime_error(tmp_path, capsys, name,
+                                                       content, out):
+    run_d = tmp_path / "run"
+    run_d.mkdir()
+    (run_d / "metrics.jsonl").write_text('{"round": 1, "test_acc": 0.5}\n')
+    (run_d / "manifest.json").write_text('{"strategy": "fedavg"}\n')
+    if name is not None:
+        (run_d / name).write_bytes(content)
+    argv = ["compare", "--runs", str(run_d), "--threshold", "0.5"]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    assert str(tmp_path) in assert_one_line_error(capsys, "error: ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -58,6 +58,12 @@ class TestIdx:
         with pytest.raises(IdxLengthError):
             read_idx(img)
 
+    def test_dimension_product_beyond_int64_is_length_error(self, tmp_path):
+        img = tmp_path / "huge.idx"
+        write_idx(img, IDX_MAGIC_IMAGES, (4, 2 ** 31, 2 ** 31), np.zeros(0))
+        with pytest.raises(IdxLengthError, match=str(2 ** 64)):
+            read_idx(img)
+
     def test_wrong_magic_reports_observed_value(self, tmp_path):
         img = tmp_path / "magic.idx"
         img.write_bytes(struct.pack(">II", 0x00000805, 1) + b"\x00")
