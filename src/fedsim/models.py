@@ -194,7 +194,7 @@ def evaluate(params: ParameterSet, spec: ModelSpec, data) -> tuple[float, float]
 
 def _set_accuracy(params: ParameterSet, spec: ModelSpec, data,
                   bounds: np.ndarray) -> np.ndarray:
-    """One model's accuracy on each row block of data between two bounds."""
+    """One model's accuracy on each row block of data between consecutive bounds."""
     logits, _, _ = _forward(_layers(params, spec), spec, data.features)
     log_probs = _softmax_parts(logits, data.labels)[2]
     for start, stop in zip(bounds[:-1], bounds[1:]):
