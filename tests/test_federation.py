@@ -1,3 +1,6 @@
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -229,3 +232,20 @@ class TestBoostingInputs:
                           spec, val)[0] for val in val_sets]
                 for u in updates])
             assert np.array_equal(cross_val, expected)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc")
+def test_freed_round_arrays_are_not_faulted_back_in():
+    # Three 1 MiB arrays freed together pass glibc's adaptive trim
+    # threshold, so by default every cycle returns them to the OS and
+    # faults their 768 pages back in.
+    def cycle():
+        arrays = [np.full(1 << 17, 1.0) for _ in range(3)]
+        del arrays
+
+    federation.keep_freed_arrays_in_heap()
+    cycle()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        cycle()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
