@@ -13,8 +13,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from .errors import ConfigError, FedSimError
 from .federation import build_partition, load_source, run_federation
 from .reporting import (
@@ -46,7 +44,7 @@ def _cmd_partition_preview(args) -> int:
     print(f"partition={cfg.partition} clients={cfg.num_clients} "
           f"train_samples={train.n}")
     for cid, idx in enumerate(partition.shards):
-        hist = np.bincount(train.labels[idx], minlength=train.num_classes)
+        hist = train.subset(idx).class_histogram()
         print(f"client {cid}: n={len(idx)} classes=" +
               " ".join(str(int(h)) for h in hist))
     return 0

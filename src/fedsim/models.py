@@ -105,12 +105,6 @@ def _mean_loss(label_log_probs: np.ndarray) -> float:
     return float(-(np.add.reduce(label_log_probs) / label_log_probs.shape[0]))
 
 
-def _layers(params: ParameterSet, spec: ModelSpec) -> dict[str, np.ndarray]:
-    """Each layer of `params` as a read-only array in the spec's shape."""
-    return {name: params.layer(name).reshape(shape)
-            for name, shape in spec.layer_shapes()}
-
-
 def _forward(w: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray):
     """Returns (logits, hidden pre-activation, hidden activation); the
     last two are None for softmax regression."""
@@ -174,34 +168,37 @@ def loss_and_grad(params, spec: ModelSpec, batch: Batch, grad=None):
         return _loss_and_grad_into(spec, params, grad, batch.features,
                                    batch.labels), grad
     flat = params.to_flat()  # a writable vector the kernel overwrites
-    loss = _loss_and_grad_into(spec, _layers(params, spec), params.views(flat),
+    loss = _loss_and_grad_into(spec, params.layers(), params.views(flat),
                                batch.features, batch.labels)
     return loss, params.with_flat(flat)
 
 
+def _block_scores(params: ParameterSet, spec: ModelSpec, data,
+                  bounds: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """One forward pass over all rows of data, scored on each row block
+    between consecutive bounds: (mean cross-entropy losses, accuracies).
+
+    Each accuracy is the exact count/n; a non-finite loss raises
+    NonFiniteError.
+    """
+    logits, _, _ = _forward(params.layers(), spec, data.features)
+    log_probs = _softmax_parts(logits, data.labels)[2]
+    losses = [_mean_loss(log_probs[start:stop])
+              for start, stop in zip(bounds[:-1], bounds[1:])]
+    if not all(map(np.isfinite, losses)):
+        raise NonFiniteError("evaluate: non-finite loss")
+    correct = np.argmax(logits, axis=1) == data.labels
+    counts = np.add.reduceat(correct, bounds[:-1], dtype=np.int64)
+    return losses, counts / np.diff(bounds)
+
+
 def evaluate(params: ParameterSet, spec: ModelSpec, data) -> tuple[float, float]:
     """(accuracy, mean cross-entropy loss) over a whole dataset."""
-    if data.features.shape[0] < 1:
+    n = data.features.shape[0]
+    if n < 1:
         raise EmptyInputError("evaluate on empty dataset")
-    batch = Batch(data.features, data.labels)
-    logits, _, _ = _forward(_layers(params, spec), spec, batch.features)
-    loss = _mean_loss(_softmax_parts(logits, batch.labels)[2])
-    if not np.isfinite(loss):
-        raise NonFiniteError("evaluate: non-finite loss")
-    accuracy = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
-    return accuracy, loss
-
-
-def _set_accuracy(params: ParameterSet, spec: ModelSpec, data,
-                  bounds: np.ndarray) -> np.ndarray:
-    """One model's accuracy on each row block of data between consecutive bounds."""
-    logits, _, _ = _forward(_layers(params, spec), spec, data.features)
-    log_probs = _softmax_parts(logits, data.labels)[2]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if not np.isfinite(_mean_loss(log_probs[start:stop])):
-            raise NonFiniteError("evaluate: non-finite loss")
-    correct = np.argmax(logits, axis=1) == data.labels
-    return np.add.reduceat(correct, bounds[:-1], dtype=np.int64) / np.diff(bounds)
+    (loss,), (accuracy,) = _block_scores(params, spec, data, np.array([0, n]))
+    return float(accuracy), loss
 
 
 def cross_accuracy(models, spec: ModelSpec, data, sizes) -> np.ndarray:
@@ -214,5 +211,5 @@ def cross_accuracy(models, spec: ModelSpec, data, sizes) -> np.ndarray:
     is one forward pass over all rows, so `models` may be a generator.
     """
     bounds = np.cumsum([0, *sizes])
-    return np.stack([_set_accuracy(params, spec, data, bounds)
+    return np.stack([_block_scores(params, spec, data, bounds)[1]
                      for params in models])

@@ -15,7 +15,8 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from .aggregators import AggregatorConfig
@@ -34,15 +35,29 @@ CONFIG_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    config_hash: str
-    seed: int
-    strategy: str
-    variant: str
-    started_at: str
-    finished_at: str
-    out_dir: str
+def _json_lines(text: str) -> list:
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+def _read_json(path, error: type[FedSimError], parse=json.loads):
+    """parse applied to the UTF-8 text of a file: one JSON document by
+    default, or _json_lines. A file that cannot be read, decoded or parsed,
+    nesting too deep for the parser included, raises error naming it."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        # strerror leaves out the path that str(OSError) repeats
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise error(f"cannot read '{path}': {reason}") from exc
+
+
+@contextmanager
+def _writing(path):
+    """Turn an OSError raised in the block into a FedSimError naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise FedSimError(f"cannot write '{path}': {exc.strerror}") from exc
 
 
 def config_from_dict(doc: dict) -> FederationConfig:
@@ -72,13 +87,7 @@ def config_from_dict(doc: dict) -> FederationConfig:
 
 
 def parse_config(path) -> FederationConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(
-            f"cannot read config file '{path}': {exc.strerror}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    doc = _read_json(path, ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return config_from_dict(doc)
@@ -106,8 +115,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def emit_metrics(records: list[RoundRecord], manifest: RunManifest,
-                 out_dir) -> dict:
+def emit_metrics(records: list[RoundRecord], manifest: dict, out_dir) -> None:
     """Write metrics.jsonl, summary.csv, timings.csv, manifest.json.
 
     metrics.jsonl and summary.csv carry only seed-deterministic fields;
@@ -115,64 +123,51 @@ def emit_metrics(records: list[RoundRecord], manifest: RunManifest,
     """
     if not records:
         raise FedSimError("no records to emit")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "metrics": out / "metrics.jsonl",
-        "summary": out / "summary.csv",
-        "timings": out / "timings.csv",
-        "manifest": out / "manifest.json",
+    texts = {
+        "metrics.jsonl": "".join(json.dumps({
+            "round": rec.round,
+            "test_acc": rec.global_test_accuracy,
+            "test_loss": rec.global_test_loss,
+            "mean_train_loss": rec.mean_local_train_loss,
+            "per_client_train_loss": rec.per_client_train_loss,
+        }, sort_keys=True) + "\n" for rec in records),
+        "summary.csv": "round,test_acc,test_loss,mean_train_loss\n" + "".join(
+            f"{rec.round},{_fmt(rec.global_test_accuracy)},"
+            f"{_fmt(rec.global_test_loss)},"
+            f"{_fmt(rec.mean_local_train_loss)}\n" for rec in records),
+        "timings.csv": "round,wall_ms\n" + "".join(
+            f"{rec.round},{rec.wall_ms}\n" for rec in records),
+        "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     }
-    with open(paths["metrics"], "w") as fh:
-        for rec in records:
-            fh.write(json.dumps({
-                "round": rec.round,
-                "test_acc": rec.global_test_accuracy,
-                "test_loss": rec.global_test_loss,
-                "mean_train_loss": rec.mean_local_train_loss,
-                "per_client_train_loss": rec.per_client_train_loss,
-            }, sort_keys=True) + "\n")
-    with open(paths["summary"], "w") as fh:
-        fh.write("round,test_acc,test_loss,mean_train_loss\n")
-        for rec in records:
-            fh.write(f"{rec.round},{_fmt(rec.global_test_accuracy)},"
-                     f"{_fmt(rec.global_test_loss)},"
-                     f"{_fmt(rec.mean_local_train_loss)}\n")
-    with open(paths["timings"], "w") as fh:
-        fh.write("round,wall_ms\n")
-        for rec in records:
-            fh.write(f"{rec.round},{rec.wall_ms}\n")
-    with open(paths["manifest"], "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return paths
+    out = Path(out_dir)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (out / name).write_text(text, encoding="utf-8")
 
 
 def make_manifest(cfg: FederationConfig, out_dir, started_at: float,
-                  finished_at: float) -> RunManifest:
+                  finished_at: float) -> dict:
+    """What manifest.json holds: the run's identity and its UTC times."""
     iso = lambda t: time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
-    return RunManifest(
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        strategy=cfg.aggregator.strategy,
-        variant=cfg.aggregator.variant,
-        started_at=iso(started_at),
-        finished_at=iso(finished_at),
-        out_dir=str(out_dir),
-    )
+    return {
+        "config_hash": config_hash(cfg),
+        "seed": cfg.seed,
+        "strategy": cfg.aggregator.strategy,
+        "variant": cfg.aggregator.variant,
+        "started_at": iso(started_at),
+        "finished_at": iso(finished_at),
+        "out_dir": str(out_dir),
+    }
 
 
 def load_metrics(run_dir_path) -> list[dict]:
     """The rows of a run's metrics.jsonl, each an object with a numeric
     round and test_acc."""
     path = Path(run_dir_path) / "metrics.jsonl"
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        rows = [json.loads(line) for line in lines if line.strip()]
-    except (OSError, ValueError) as exc:
-        raise FedSimError(f"{run_dir_path}: cannot read metrics ({exc})") from exc
+    rows = _read_json(path, FedSimError, _json_lines)
     if not rows:
-        raise FedSimError(f"{run_dir_path}: metrics file is empty")
+        raise FedSimError(f"{path}: metrics file is empty")
     for row in rows:
         if not (isinstance(row, dict) and all(
                 type(row.get(key)) in (int, float) for key in ("round", "test_acc"))):
@@ -187,10 +182,7 @@ def compare_runs(dirs: list, threshold: float, out_path=None) -> list[dict]:
     for d in dirs:
         metrics = load_metrics(d)
         manifest_path = Path(d) / "manifest.json"
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise FedSimError(f"{d}: cannot read manifest ({exc})") from exc
+        manifest = _read_json(manifest_path, FedSimError)
         if not isinstance(manifest, dict):
             raise FedSimError(f"{manifest_path}: top level must be an object")
         accs = [row["test_acc"] for row in metrics]
@@ -203,15 +195,11 @@ def compare_runs(dirs: list, threshold: float, out_path=None) -> list[dict]:
             "rounds_to_threshold": reached[0] if reached else "never",
         })
     if out_path is not None:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write("strategy,variant,final_test_acc,best_test_acc,"
-                         "rounds_to_threshold\n")
-                for row in rows:
-                    fh.write(f"{row['strategy']},{row['variant']},"
-                             f"{_fmt(row['final_test_acc'])},"
-                             f"{_fmt(row['best_test_acc'])},"
-                             f"{row['rounds_to_threshold']}\n")
-        except OSError as exc:
-            raise FedSimError(f"cannot write '{out_path}': {exc.strerror}") from exc
+        text = "strategy,variant,final_test_acc,best_test_acc,rounds_to_threshold\n"
+        text += "".join(f"{row['strategy']},{row['variant']},"
+                        f"{_fmt(row['final_test_acc'])},"
+                        f"{_fmt(row['best_test_acc'])},"
+                        f"{row['rounds_to_threshold']}\n" for row in rows)
+        with _writing(out_path):
+            Path(out_path).write_text(text, encoding="utf-8")
     return rows

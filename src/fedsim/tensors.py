@@ -118,6 +118,10 @@ class ParameterSet:
             raise ValueError(f"flat shape {flat.shape} != {self._flat.shape}")
         return {n: flat[start:stop].reshape(s) for n, s, start, stop in self._layout}
 
+    def layers(self) -> dict[str, np.ndarray]:
+        """Each layer's name mapped to a read-only view of it in its shape."""
+        return self.views(self._flat)
+
     def check_finite(self, flat: np.ndarray) -> None:
         """The check every set passes when built, on a (P,) array laid out
         like this set: NonFiniteError naming the first non-finite layer."""

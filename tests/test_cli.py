@@ -69,7 +69,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     lambda path: None,
     Path.mkdir,
     lambda path: path.write_bytes(b'{"rounds": "\xff"}'),
-], ids=["missing", "directory", "not-utf-8"])
+    lambda path: path.write_text("[" * 100_000),
+], ids=["missing", "directory", "not-utf-8", "too-deep"])
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, make):
     path = tmp_path / "config.json"
     make(path)
@@ -137,10 +138,13 @@ def test_compare(tmp_path, capsys):
     ("metrics.jsonl", b'{"round": 1}\n', None),
     ("metrics.jsonl", b"[1, 2]\n", None),
     ("metrics.jsonl", b"\xff\n", None),
+    ("metrics.jsonl", b"[" * 100_000 + b"\n", None),
     ("manifest.json", b"[]\n", None),
+    ("manifest.json", b"[" * 100_000, None),
     (None, None, "missing/comparison.csv"),
 ], ids=["row-without-test_acc", "row-not-an-object", "metrics-not-utf-8",
-        "manifest-not-an-object", "out-in-missing-directory"])
+        "metrics-too-deep", "manifest-not-an-object", "manifest-too-deep",
+        "out-in-missing-directory"])
 def test_compare_on_a_malformed_run_is_a_runtime_error(tmp_path, capsys, name,
                                                        content, out):
     run_d = tmp_path / "run"
@@ -154,6 +158,14 @@ def test_compare_on_a_malformed_run_is_a_runtime_error(tmp_path, capsys, name,
         argv += ["--out", str(tmp_path / out)]
     assert main(argv) == 2
     assert str(tmp_path) in assert_one_line_error(capsys, "error: ")
+
+
+def test_run_with_out_on_a_file_is_a_runtime_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, FAST_RUN)
+    out = tmp_path / "a-file"
+    out.write_text("")
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    assert str(out) in assert_one_line_error(capsys, "error: ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
