@@ -16,6 +16,7 @@ import time
 from .errors import ConfigError, FedSimError
 from .federation import build_partition, load_source, run_federation
 from .reporting import (
+    _writing,
     compare_runs,
     emit_metrics,
     make_manifest,
@@ -27,6 +28,8 @@ from .reporting import (
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     out = run_dir(args.out, cfg)
+    with _writing(out):  # an unwritable --out fails before training
+        out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     records = run_federation(cfg)
     manifest = make_manifest(cfg, out, started, time.time())

@@ -219,4 +219,7 @@ def run_federation(cfg: FederationConfig,
             per_client_train_loss=per_client,
             wall_ms=wall_ms,
         ))
+        # free this round's updates, which hold the clients' final weights
+        # for their train accuracy, before the next round trains
+        del updates
     return records

@@ -7,6 +7,7 @@ to the analytic gradient.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +34,45 @@ class LocalConfig:
             raise ValueError("batch_size and local_epochs must be >= 1")
 
 
+class _OnFirstRead:
+    """A dataclass field that holds its value or a zero-argument function
+    computing it. The first read calls the function and keeps the result.
+    The field has no default: dataclass asks the class for one, and the
+    class read raises AttributeError."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class ClientUpdate:
     client_id: int
     pseudo_gradient: ParameterSet
     num_samples: int
     train_loss: float
-    train_accuracy: float
+    # scored on the client's shard on first read: only fedboosting reads it
+    train_accuracy: float = _OnFirstRead()
+
+
+@contextmanager
+def _local_training(client_id: int):
+    """Name the client and the phase in a NonFiniteError raised in the block."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(
+            f"client {client_id}: local training: {exc}") from exc
 
 
 def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
@@ -49,6 +82,9 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     The weights w, velocity u and gradient g live in private writable
     vectors that every step updates in place. Each step checks g, u and w
     for NaN or Inf, in that order, as building them as ParameterSets would.
+    The update's train_accuracy scores the final weights on the shard when
+    it is first read, and names the client in a NonFiniteError as training
+    does.
     """
     if shard.n < 1:
         raise EmptyInputError("client shard is empty")
@@ -59,7 +95,7 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     step = np.empty_like(w)
     w_views, g_views = global_params.views(w), global_params.views(g)
     last_epoch_losses: list[float] = []
-    try:
+    with _local_training(client_id):
         for _ in range(cfg.local_epochs):
             order = rng.permutation(shard.n)
             features, labels = shard.features[order], shard.labels[order]
@@ -79,10 +115,11 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
         params = global_params.with_flat(w)
         pseudo_gradient = zip_map(global_params, params,
                                   lambda w0, w: (w0 - w) * (1.0 / cfg.lr))
-        train_accuracy, _ = evaluate(params, spec, shard)
-    except NonFiniteError as exc:
-        raise NonFiniteError(
-            f"client {client_id}: local training: {exc}") from exc
+
+    def train_accuracy() -> float:
+        with _local_training(client_id):
+            return evaluate(params, spec, shard)[0]
+
     return ClientUpdate(
         client_id=client_id,
         pseudo_gradient=pseudo_gradient,

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedsim import cli
 from fedsim.cli import main
 from fedsim.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, write_idx
 
@@ -160,12 +161,17 @@ def test_compare_on_a_malformed_run_is_a_runtime_error(tmp_path, capsys, name,
     assert str(tmp_path) in assert_one_line_error(capsys, "error: ")
 
 
-def test_run_with_out_on_a_file_is_a_runtime_error(tmp_path, capsys):
+def test_run_with_out_on_a_file_is_a_runtime_error(tmp_path, capsys,
+                                                   monkeypatch):
     cfg_path = write_config(tmp_path, FAST_RUN)
     out = tmp_path / "a-file"
     out.write_text("")
+    runs = []
+    monkeypatch.setattr(cli, "run_federation",
+                        lambda *args: runs.append(args) or [])
     assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
     assert str(out) in assert_one_line_error(capsys, "error: ")
+    assert runs == []  # the error comes before training
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

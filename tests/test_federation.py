@@ -1,10 +1,11 @@
 import platform
 import resource
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedsim import federation
+from fedsim import federation, training
 from fedsim.aggregators import AggregatorConfig, fedboosting_aggregate
 from fedsim.data import Dataset, synth_blobs, split_train_test
 from fedsim.errors import NonFiniteError, StructureMismatchError
@@ -138,6 +139,45 @@ class TestRunFederation:
         assert client_seed(1, 2, 3) == client_seed(1, 2, 3)
         assert client_seed(1, 2, 3) != client_seed(1, 2, 4)
         assert client_seed(1, 2, 3) != client_seed(1, 3, 3)
+
+
+class TestTrainAccuracyReads:
+    """train_accuracy is scored on first read, and only fedboosting reads
+    it."""
+
+    @pytest.mark.parametrize("strategy,per_round", [
+        ("fedavg", 0), ("fedopt", 0), ("fedams", 0), ("ewwa", 0),
+        ("fedadp", 0), ("fedboosting", 3)])
+    def test_clients_are_scored_only_where_read(self, monkeypatch, strategy,
+                                                per_round):
+        cfg = small_cfg(rounds=2, aggregator=AggregatorConfig(strategy=strategy))
+        calls = []
+
+        def spy(params, spec, data):
+            calls.append(data.n)
+            return evaluate(params, spec, data)
+
+        monkeypatch.setattr(training, "evaluate", spy)
+        run_federation(cfg)
+        assert len(calls) == per_round * cfg.rounds
+
+    @pytest.mark.parametrize("strategy", ["ewwa", "fedboosting"])
+    def test_records_do_not_depend_on_reads(self, monkeypatch, strategy):
+        cfg = small_cfg(num_clients=4, partition="label_skew",
+                        synth_per_class=60,
+                        aggregator=AggregatorConfig(strategy=strategy))
+        plain = run_federation(cfg)
+        train_local = federation.train_local
+
+        def read_at_once(*args, **kwargs):
+            update = train_local(*args, **kwargs)
+            assert 0.0 <= update.train_accuracy <= 1.0
+            return update
+
+        monkeypatch.setattr(federation, "train_local", read_at_once)
+        read = run_federation(cfg)
+        without_times = lambda recs: [replace(r, wall_ms=0) for r in recs]
+        assert without_times(read) == without_times(plain)
 
 
 class TestBoostingInputs:

@@ -3,11 +3,19 @@ import pytest
 
 from fedsim.data import synth_blobs
 from fedsim.errors import NonFiniteError
-from fedsim.models import Batch, ModelSpec, init_params, loss_and_grad
+import fedsim.training
+from fedsim.models import Batch, ModelSpec, evaluate, init_params, loss_and_grad
 from fedsim.tensors import ParameterSet, zip_map
-from fedsim.training import LocalConfig, local_params_from_update, train_local
+from fedsim.training import (ClientUpdate, LocalConfig, local_params_from_update,
+                             train_local)
 
 SPEC = ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=6)
+REF_SPECS = [
+    ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=6, activation="relu"),
+    ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=6,
+              activation="sigmoid"),
+    ModelSpec("softmax_regression", input_dim=4, num_classes=3),
+]
 
 
 def make_shard(seed=0, per_class=8):
@@ -86,6 +94,67 @@ class TestTrainLocal:
         assert update.num_samples == shard.n
         assert np.isfinite(update.train_loss)
         assert 0.0 <= update.train_accuracy <= 1.0
+
+
+class TestTrainAccuracyOnFirstRead:
+    def count_evaluates(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(fedsim.training, "evaluate", spy)
+        return calls
+
+    def test_two_reads_score_the_shard_once(self, monkeypatch):
+        calls = self.count_evaluates(monkeypatch)
+        shard = make_shard(seed=1)
+        update = train_local(init_params(SPEC, 0), SPEC, shard,
+                             LocalConfig(batch_size=5), seed=0)
+        assert calls == []
+        first = update.train_accuracy
+        assert update.train_accuracy is first
+        assert len(calls) == 1 and calls[0][2] is shard
+
+    @pytest.mark.parametrize("spec", REF_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.activation}")
+    def test_equals_an_eager_evaluate_of_the_final_weights(self, spec):
+        shard = make_shard(seed=4, per_class=11)
+        cfg = LocalConfig(lr=0.3, batch_size=7, local_epochs=2)
+        params = init_params(spec, 9)
+        update = train_local(params, spec, shard, cfg, seed=20)
+        pseudo, _, _, final = _ref_train_local(params, spec, shard, cfg, seed=20)
+        assert np.array_equal(update.pseudo_gradient.to_flat(), pseudo.to_flat())
+        assert update.train_accuracy == evaluate(final, spec, shard)[0]
+
+    def test_overflowing_loss_names_the_client_on_read(self, monkeypatch):
+        """Finite final weights whose logits overflow: training ends, and
+        the read raises as the eager score did inside train_local."""
+        def zero_gradient(w, spec, batch, g):
+            for view in g.values():
+                view[...] = 0.0
+            return 0.0, g
+
+        monkeypatch.setattr(fedsim.training, "loss_and_grad", zero_gradient)
+        params = init_params(SPEC, 0)
+        huge = params.with_flat(np.full(params.to_flat().size, 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            update = train_local(huge, SPEC, make_shard(), LocalConfig(),
+                                 seed=0, client_id=3)
+            with pytest.raises(NonFiniteError) as err:
+                update.train_accuracy
+        assert str(err.value).startswith(
+            "client 3: local training: evaluate: non-finite loss")
+
+    def test_a_constructed_float_comes_back_unchanged(self):
+        pg = init_params(SPEC, 0)
+        value = 0.1 + 0.2
+        assert ClientUpdate(1, pg, 10, 0.5, value).train_accuracy is value
+        assert ClientUpdate(1, pg, 10, 0.5,
+                            train_accuracy=value).train_accuracy is value
+        with pytest.raises(TypeError):
+            ClientUpdate(1, pg, 10, 0.5)  # the field keeps no default
 
 
 class TestLocalConfig:
@@ -178,7 +247,7 @@ def _ref_loss_and_grad(params, spec, batch):
 
 
 def _ref_train_local(global_params, spec, shard, cfg, seed):
-    """(pseudo-gradient, train loss, train accuracy)."""
+    """(pseudo-gradient, train loss, train accuracy, final weights)."""
     rng = np.random.default_rng(seed)
     params = global_params
     velocity = ParameterSet.zeros_like(global_params)
@@ -195,15 +264,7 @@ def _ref_train_local(global_params, spec, shard, cfg, seed):
     pseudo = zip_map(global_params, params, lambda w0, w: (w0 - w) * (1.0 / cfg.lr))
     logits, _ = _ref_forward(params, spec, shard.features)
     accuracy = float(np.mean(np.argmax(logits, axis=1) == shard.labels))
-    return pseudo, float(np.mean(losses)), accuracy
-
-
-REF_SPECS = [
-    ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=6, activation="relu"),
-    ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=6,
-              activation="sigmoid"),
-    ModelSpec("softmax_regression", input_dim=4, num_classes=3),
-]
+    return pseudo, float(np.mean(losses)), accuracy, params
 
 
 @pytest.mark.parametrize("spec", REF_SPECS, ids=lambda s: f"{s.kind}-{s.activation}")
@@ -214,8 +275,8 @@ def test_train_local_is_bit_identical_to_the_reference_loop(spec, momentum):
     params = init_params(spec, 9)
     for rnd in range(3):
         update = train_local(params, spec, shard, cfg, seed=20 + rnd)
-        pseudo, loss, accuracy = _ref_train_local(params, spec, shard, cfg,
-                                                  seed=20 + rnd)
+        pseudo, loss, accuracy, _ = _ref_train_local(params, spec, shard, cfg,
+                                                     seed=20 + rnd)
         assert np.array_equal(update.pseudo_gradient.to_flat(), pseudo.to_flat())
         assert update.train_loss == loss
         assert update.train_accuracy == accuracy
