@@ -199,12 +199,15 @@ def run_federation(cfg: FederationConfig,
                     big_g, state = agg.fedadp_aggregate(updates, state,
                                                         cfg.aggregator, g_mean)
                 elif strategy == "fedboosting":
+                    # scored before cross-validation, so that a train loss
+                    # that overflows names its client
+                    train_acc = [u.train_accuracy for u in updates]
                     big_g = agg.fedboosting_aggregate(
                         updates,
                         cross_accuracy(
                             (local_params_from_update(params, u, cfg.local.lr)
                              for u in updates), spec, val_all, val_sizes),
-                        [u.train_accuracy for u in updates])
+                        train_acc)
                 params = apply_global_update(params, big_g, cfg.global_step_scale)
                 test_acc, test_loss = evaluate(params, spec, test)
         except FedSimError as exc:

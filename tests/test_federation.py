@@ -8,7 +8,7 @@ import pytest
 from fedsim import federation, training
 from fedsim.aggregators import AggregatorConfig, fedboosting_aggregate
 from fedsim.data import Dataset, synth_blobs, split_train_test
-from fedsim.errors import NonFiniteError, StructureMismatchError
+from fedsim.errors import NonFiniteError, RunError, StructureMismatchError
 from fedsim.federation import (
     FederationConfig,
     TRAIN_RATIO,
@@ -153,9 +153,9 @@ class TestTrainAccuracyReads:
         cfg = small_cfg(rounds=2, aggregator=AggregatorConfig(strategy=strategy))
         calls = []
 
-        def spy(params, spec, data):
-            calls.append(data.n)
-            return evaluate(params, spec, data)
+        def spy(*args):
+            calls.append(args)
+            return evaluate(*args)
 
         monkeypatch.setattr(training, "evaluate", spy)
         run_federation(cfg)
@@ -178,6 +178,34 @@ class TestTrainAccuracyReads:
         read = run_federation(cfg)
         without_times = lambda recs: [replace(r, wall_ms=0) for r in recs]
         assert without_times(read) == without_times(plain)
+
+    @pytest.mark.parametrize("strategy,error", [
+        ("fedboosting", "round 1: client 0: local training: evaluate: "
+                        "non-finite loss"),
+        ("ewwa", "round 1: evaluate: non-finite loss")])
+    def test_a_train_loss_that_overflows_fails_only_where_read(
+            self, monkeypatch, strategy, error):
+        """Finite weights whose logits overflow, left as they are by a zero
+        gradient: fedboosting's read names the client; ewwa never scores
+        the clients, and the round fails in the test-set evaluate."""
+        def zero_gradient(w, spec, batch, g):
+            for view in g.values():
+                view[...] = 0.0
+            return 0.0, g
+
+        def huge(spec, seed):
+            params = init_params(spec, seed)
+            return params.with_flat(np.full(params.to_flat().size, 1e200))
+
+        monkeypatch.setattr(training, "loss_and_grad", zero_gradient)
+        monkeypatch.setattr(federation, "init_params", huge)
+        cfg = small_cfg(model_kind="mlp", hidden_dim=4, num_clients=4,
+                        partition="label_skew", synth_per_class=60,
+                        aggregator=AggregatorConfig(strategy=strategy))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RunError) as err:
+                run_federation(cfg)
+        assert str(err.value) == error
 
 
 class TestBoostingInputs:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+import fedsim.training
 from fedsim.data import synth_blobs
 from fedsim.errors import NonFiniteError
-import fedsim.training
 from fedsim.models import Batch, ModelSpec, evaluate, init_params, loss_and_grad
 from fedsim.tensors import ParameterSet, zip_map
 from fedsim.training import (ClientUpdate, LocalConfig, local_params_from_update,
