@@ -13,17 +13,8 @@ differences in weighting behaviour are visible side by side:
 """
 import numpy as np
 
-from fedsim.aggregators import (
-    AggregatorConfig,
-    ewwa_aggregate,
-    fedadp_aggregate,
-    fedams_aggregate,
-    fedavg_aggregate,
-    fedboosting_aggregate,
-    fedopt_aggregate,
-    initial_state,
-)
-from fedsim.tensors import ParameterSet, mean
+from fedsim.aggregators import STRATEGIES, AggregatorConfig, aggregate, initial_state
+from fedsim.tensors import ParameterSet
 from fedsim.training import ClientUpdate
 
 SIZE = 8
@@ -51,34 +42,21 @@ def main():
     rng = np.random.default_rng(42)
     template = ParameterSet([("w", (SIZE,), np.zeros(SIZE))])
 
-    states = {name: initial_state(template)
-              for name in ("fedopt", "fedams", "ewwa", "fedadp")}
-    configs = {
-        "fedopt": AggregatorConfig(strategy="fedopt", variant="adam"),
-        "fedams": AggregatorConfig(strategy="fedams"),
-        "ewwa": AggregatorConfig(strategy="ewwa", variant="adam"),
-        "fedadp": AggregatorConfig(strategy="fedadp"),
-    }
+    states = {name: initial_state(template) for name in STRATEGIES}
+    configs = {name: AggregatorConfig(strategy=name) for name in STRATEGIES}
+
+    def cross_validate(models):
+        # a made-up cross-validation accuracy matrix: row i = client i's
+        # model evaluated on each client's held-out split
+        return rng.uniform(0.5, 0.95, size=(3, 3))
 
     for r in range(1, ROUNDS + 1):
         updates = make_updates(rng, r)
         print(f"round {r}")
-        show("fedavg", fedavg_aggregate(updates))
-        for name in ("fedopt", "fedams", "ewwa"):
-            fn = {"fedopt": fedopt_aggregate, "fedams": fedams_aggregate,
-                  "ewwa": ewwa_aggregate}[name]
-            combined, states[name] = fn(updates, states[name], configs[name])
+        for name in STRATEGIES:
+            combined, states[name] = aggregate(updates, states[name],
+                                               configs[name], cross_validate)
             show(name, combined)
-        round_mean = mean([u.pseudo_gradient for u in updates])
-        combined, states["fedadp"] = fedadp_aggregate(
-            updates, states["fedadp"], configs["fedadp"], round_mean)
-        show("fedadp", combined)
-        # a made-up cross-validation accuracy matrix: row i = client i's
-        # model evaluated on each client's held-out split
-        cross_val = rng.uniform(0.5, 0.95, size=(3, 3))
-        train_acc = np.array([u.train_accuracy for u in updates])
-        show("fedboosting", fedboosting_aggregate(updates, cross_val,
-                                                  train_acc))
 
     print("\nsmoothed client angles after the run (fedadp):")
     for cid, angle in sorted(states["fedadp"].smoothed_angles.items()):

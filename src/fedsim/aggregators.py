@@ -5,7 +5,9 @@ and stacked into one (C, P) array with a client's pseudo-gradient per
 row, and reduce it column by column to the global update G, which the
 round loop applies as w <- w - step_scale * G. Rows are always added in
 client order. Adaptive strategies also carry persistent moment state
-across rounds.
+across rounds. A round calls its strategy through aggregate(), which
+gathers each strategy's inputs; the *_aggregate functions take them
+explicitly.
 
 Strategies:
   fedavg       sample-count weighted mean of pseudo-gradients
@@ -35,6 +37,7 @@ from .tensors import (
     column_softmax,
     flat_inner_product,
     l2_norm,
+    mean,
     stack,
 )
 from .training import ClientUpdate
@@ -248,3 +251,32 @@ def fedboosting_aggregate(updates: list[ClientUpdate], cross_val: np.ndarray,
     off_diag_sums = cross_val.sum(axis=1) - np.diag(cross_val)
     weights = column_softmax(s * off_diag_sums)
     return _weighted_sum(updates, g, weights)
+
+
+def aggregate(updates: list[ClientUpdate], state: AggregatorState,
+              cfg: AggregatorConfig, cross_validate=None,
+              ) -> tuple[ParameterSet, AggregatorState]:
+    """One round of cfg.strategy on the round's updates: (G, new state).
+
+    fedavg and fedboosting keep no state and pass it through. fedadp's
+    angles are taken against the uniform mean gradient. fedboosting reads
+    the train accuracies first, so that a train loss that overflows names
+    its client, then calls cross_validate on the clients' trained weights,
+    in client order, for the C x C matrix. The *_aggregate functions are
+    read as module globals at each call, so rebinding one takes effect.
+    """
+    updates = sorted(updates, key=lambda u: u.client_id)
+    if cfg.strategy == "fedavg":
+        return fedavg_aggregate(updates), state
+    if cfg.strategy == "fedopt":
+        return fedopt_aggregate(updates, state, cfg)
+    if cfg.strategy == "fedams":
+        return fedams_aggregate(updates, state, cfg)
+    if cfg.strategy == "ewwa":
+        return ewwa_aggregate(updates, state, cfg)
+    if cfg.strategy == "fedadp":
+        return fedadp_aggregate(updates, state, cfg,
+                                mean([u.pseudo_gradient for u in updates]))
+    train_acc = [u.train_accuracy for u in updates]
+    cross_val = cross_validate([u.local_params for u in updates])
+    return fedboosting_aggregate(updates, cross_val, train_acc), state

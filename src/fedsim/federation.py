@@ -23,11 +23,11 @@ from .data import (
     split_train_test,
     synth_blobs,
 )
-from .errors import RunError, FedSimError
+from .errors import FedSimError, RunError
 from .models import (ACTIVATIONS, MODEL_KINDS, ModelSpec, cross_accuracy, evaluate,
                      init_params)
-from .tensors import ParameterSet, mean, zip_map
-from .training import LocalConfig, local_params_from_update, train_local
+from .tensors import ParameterSet, zip_map
+from .training import LocalConfig, train_local
 
 TRAIN_RATIO = 0.9
 
@@ -158,21 +158,18 @@ def run_federation(cfg: FederationConfig,
     spec = build_model_spec(cfg, data)
     params = init_params(spec, cfg.seed)
     state = agg.initial_state(params)
-    strategy = cfg.aggregator.strategy
-
-    if strategy == "fedboosting":
+    cross_validate = None
+    if cfg.aggregator.strategy == "fedboosting":
         # each client holds out a local validation slice for the V matrix
-        split_shards, val_sets = [], []
-        for cid, shard in enumerate(shards):
-            tr, val = split_train_test(shard, TRAIN_RATIO,
-                                       client_seed(cfg.seed, 0, cid))
-            split_shards.append(tr)
-            val_sets.append(val)
-        shards = split_shards
-        val_all = Dataset(np.concatenate([v.features for v in val_sets]),
-                          np.concatenate([v.labels for v in val_sets]),
+        splits = [split_train_test(shard, TRAIN_RATIO, client_seed(cfg.seed, 0, cid))
+                  for cid, shard in enumerate(shards)]
+        shards = [tr for tr, _ in splits]
+        val_all = Dataset(np.concatenate([v.features for _, v in splits]),
+                          np.concatenate([v.labels for _, v in splits]),
                           data.num_classes)
-        val_sizes = [v.n for v in val_sets]
+        val_sizes = [v.n for _, v in splits]
+        cross_validate = lambda models: cross_accuracy(models, spec, val_all,
+                                                       val_sizes)
 
     records: list[RoundRecord] = []
     for r in range(1, cfg.rounds + 1):
@@ -186,28 +183,8 @@ def run_federation(cfg: FederationConfig,
                                 client_seed(cfg.seed, r, cid), client_id=cid)
                     for cid in range(cfg.num_clients)
                 ]
-                if strategy == "fedavg":
-                    big_g = agg.fedavg_aggregate(updates)
-                elif strategy == "fedopt":
-                    big_g, state = agg.fedopt_aggregate(updates, state, cfg.aggregator)
-                elif strategy == "fedams":
-                    big_g, state = agg.fedams_aggregate(updates, state, cfg.aggregator)
-                elif strategy == "ewwa":
-                    big_g, state = agg.ewwa_aggregate(updates, state, cfg.aggregator)
-                elif strategy == "fedadp":
-                    g_mean = mean([u.pseudo_gradient for u in updates])
-                    big_g, state = agg.fedadp_aggregate(updates, state,
-                                                        cfg.aggregator, g_mean)
-                elif strategy == "fedboosting":
-                    # scored before cross-validation, so that a train loss
-                    # that overflows names its client
-                    train_acc = [u.train_accuracy for u in updates]
-                    big_g = agg.fedboosting_aggregate(
-                        updates,
-                        cross_accuracy(
-                            (local_params_from_update(params, u, cfg.local.lr)
-                             for u in updates), spec, val_all, val_sizes),
-                        train_acc)
+                big_g, state = agg.aggregate(updates, state, cfg.aggregator,
+                                             cross_validate)
                 params = apply_global_update(params, big_g, cfg.global_step_scale)
                 test_acc, test_loss = evaluate(params, spec, test)
         except FedSimError as exc:
@@ -222,7 +199,7 @@ def run_federation(cfg: FederationConfig,
             per_client_train_loss=per_client,
             wall_ms=wall_ms,
         ))
-        # free this round's updates, which hold the clients' final weights
-        # for their train accuracy, before the next round trains
+        # free this round's updates, which hold the clients' final weights,
+        # before the next round trains
         del updates
     return records

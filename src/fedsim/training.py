@@ -63,6 +63,8 @@ class ClientUpdate:
     train_loss: float
     # scored on the client's shard on first read: only fedboosting reads it
     train_accuracy: float = _OnFirstRead()
+    # the weights local training ended with
+    local_params: ParameterSet | None = None
 
 
 @contextmanager
@@ -82,9 +84,9 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     The weights w, velocity u and gradient g live in private writable
     vectors that every step updates in place. Each step checks g, u and w
     for NaN or Inf, in that order, as building them as ParameterSets would.
-    The update's train_accuracy scores the final weights on the shard when
-    it is first read, and names the client in a NonFiniteError as training
-    does.
+    The update holds the final weights as local_params. Its
+    train_accuracy scores them on the shard when it is first read, and
+    names the client in a NonFiniteError as training does.
     """
     if shard.n < 1:
         raise EmptyInputError("client shard is empty")
@@ -126,10 +128,5 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
         num_samples=shard.n,
         train_loss=float(np.mean(last_epoch_losses)),
         train_accuracy=train_accuracy,
+        local_params=params,
     )
-
-
-def local_params_from_update(global_params: ParameterSet, update: ClientUpdate,
-                             lr: float) -> ParameterSet:
-    """Recover the client's post-training weights from its pseudo-gradient."""
-    return zip_map(global_params, update.pseudo_gradient, lambda w, g: w - lr * g)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fedsim.aggregators import (
+    STRATEGIES,
     AggregatorConfig,
     adaptive_step_size,
+    aggregate,
     ewwa_aggregate,
     fedadp_aggregate,
     fedams_aggregate,
@@ -382,25 +384,19 @@ class TestFedBoosting:
 
 
 CROSS_VAL = np.array([[0.5, 0.9, 0.8], [0.4, 0.5, 0.7], [0.6, 0.7, 0.5]])
-TRAIN_ACC = np.array([0.9, 0.8, 0.7])
-ONE_ROUND = {
-    "fedavg": lambda ups, st: (fedavg_aggregate(ups), st),
-    "fedopt": lambda ups, st: fedopt_aggregate(
-        ups, st, AggregatorConfig(strategy="fedopt")),
-    "fedams": lambda ups, st: fedams_aggregate(
-        ups, st, AggregatorConfig(strategy="fedams")),
-    "ewwa": lambda ups, st: ewwa_aggregate(
-        ups, st, AggregatorConfig(strategy="ewwa")),
-    "fedboosting": lambda ups, st: (
-        fedboosting_aggregate(ups, CROSS_VAL, TRAIN_ACC), st),
-}
 
 
-@pytest.mark.parametrize("strategy", sorted(ONE_ROUND))
+def cross_validate(models):
+    return CROSS_VAL[:len(models), :len(models)]
+
+
+@pytest.mark.parametrize("strategy", ["ewwa", "fedams", "fedavg", "fedboosting",
+                                      "fedopt"])
 def test_two_layer_set_aggregates_like_each_layer_alone(strategy):
     """Layers never mix: aggregating a 2-layer set gives, bit for bit, the
-    concatenation of aggregating each layer on its own, round after round."""
-    step = ONE_ROUND[strategy]
+    concatenation of aggregating each layer on its own, round after round.
+    (fedadp's angles span all layers, so its layers do mix.)"""
+    cfg = AggregatorConfig(strategy=strategy)
     rng = np.random.default_rng(71)
     sizes = (5, 8)
     joint_state = initial_state(ParameterSet(
@@ -411,45 +407,105 @@ def test_two_layer_set_aggregates_like_each_layer_alone(strategy):
         counts = rng.integers(1, 50, size=3)
         joint = [ClientUpdate(
             client_id=c, num_samples=int(counts[c]), train_loss=0.0,
-            train_accuracy=0.5, pseudo_gradient=ParameterSet(
+            train_accuracy=0.5 + 0.1 * c, pseudo_gradient=ParameterSet(
                 (name, (n,), g) for name, n, g in zip("ab", sizes, grads[c])))
             for c in range(3)]
-        g_joint, joint_state = step(joint, joint_state)
+        g_joint, joint_state = aggregate(joint, joint_state, cfg, cross_validate)
         parts = []
         for i in range(len(sizes)):
-            alone = [upd(c, grads[c][i], n=int(counts[c])) for c in range(3)]
-            g_alone, alone_states[i] = step(alone, alone_states[i])
+            alone = [ClientUpdate(c, ps(*grads[c][i]), int(counts[c]), 0.0,
+                                  0.5 + 0.1 * c) for c in range(3)]
+            g_alone, alone_states[i] = aggregate(alone, alone_states[i], cfg,
+                                                 cross_validate)
             parts.append(g_alone.to_flat())
         np.testing.assert_array_equal(g_joint.to_flat(), np.concatenate(parts))
 
 
+def trained_updates(rng, count, size=25):
+    """Updates with unequal sample counts, train accuracies and trained
+    weights, as train_local returns them."""
+    return [ClientUpdate(c, ps(*rng.normal(size=size)), int(rng.integers(1, 50)),
+                         0.0, float(rng.uniform()),
+                         local_params=ps(*rng.normal(size=size)))
+            for c in range(count)]
+
+
+def direct_call(strategy, updates, state, cfg):
+    """One round of strategy by its own function, inputs made by hand."""
+    if strategy == "fedavg":
+        return fedavg_aggregate(updates), state
+    if strategy == "fedadp":
+        return fedadp_aggregate(updates, state, cfg,
+                                mean([u.pseudo_gradient for u in updates]))
+    if strategy == "fedboosting":
+        return fedboosting_aggregate(
+            updates, cross_validate(updates),
+            np.array([u.train_accuracy for u in updates])), state
+    fn = {"fedopt": fedopt_aggregate, "fedams": fedams_aggregate,
+          "ewwa": ewwa_aggregate}[strategy]
+    return fn(updates, state, cfg)
+
+
+class TestAggregate:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("variant", ["adam", "yogi"])
+    def test_equals_a_direct_call_bit_for_bit(self, strategy, variant):
+        cfg = AggregatorConfig(strategy=strategy, variant=variant)
+        rng = np.random.default_rng(13)
+        state = direct_state = initial_state(ps(*np.zeros(25)))
+        for _ in range(4):
+            updates = trained_updates(rng, 3)
+            big_g, state = aggregate(updates, state, cfg, cross_validate)
+            expected, direct_state = direct_call(strategy, updates,
+                                                 direct_state, cfg)
+            assert np.array_equal(big_g.to_flat(), expected.to_flat())
+            assert state.round == direct_state.round
+            for name in ("m", "v", "v_max"):
+                assert np.array_equal(getattr(state, name).to_flat(),
+                                      getattr(direct_state, name).to_flat())
+            assert state.smoothed_angles == direct_state.smoothed_angles
+
+    def test_fedboosting_cross_validates_the_trained_weights_in_client_order(self):
+        rng = np.random.default_rng(4)
+        updates = trained_updates(rng, 4)
+        seen = []
+
+        def spy(models):
+            seen.append(models)
+            return rng.uniform(size=(4, 4))
+
+        aggregate(updates[::-1], initial_state(ps(*np.zeros(25))),
+                  AggregatorConfig(strategy="fedboosting"), spy)
+        assert len(seen) == 1
+        assert all(a is b for a, b in zip(seen[0], [u.local_params for u in updates],
+                                          strict=True))
+
+    def test_fedboosting_reads_train_accuracy_before_cross_validating(self):
+        order = []
+        updates = [ClientUpdate(c, ps(1.0), 10, 0.0,
+                                lambda: order.append("train") or 0.5)
+                   for c in range(2)]
+        aggregate(updates, initial_state(ps(0.0)),
+                  AggregatorConfig(strategy="fedboosting"),
+                  lambda models: order.append("cross") or np.eye(2))
+        assert order == ["train", "train", "cross"]
+
+
 class TestPermutationInvariance:
     def test_all_strategies(self):
+        """Any arrival order gives the same bits and the same state."""
         rng = np.random.default_rng(55)
-        updates = random_updates(rng, 4, size=25)
+        updates = trained_updates(rng, 4)
         shuffled = [updates[i] for i in (2, 0, 3, 1)]
-        template = ParameterSet.zeros_like(updates[0].pseudo_gradient)
-
-        g1 = fedavg_aggregate(updates)
-        g2 = fedavg_aggregate(shuffled)
-        np.testing.assert_allclose(g1.to_flat(), g2.to_flat(), atol=1e-12)
-
-        for fn, cfg in [
-            (fedopt_aggregate, AggregatorConfig(strategy="fedopt")),
-            (fedams_aggregate, AggregatorConfig(strategy="fedams")),
-            (ewwa_aggregate, AggregatorConfig(strategy="ewwa")),
-        ]:
-            a, _ = fn(updates, initial_state(template), cfg)
-            b, _ = fn(shuffled, initial_state(template), cfg)
-            np.testing.assert_allclose(a.to_flat(), b.to_flat(), atol=1e-12)
-
-        g_mean = mean([u.pseudo_gradient for u in sorted(
-            updates, key=lambda u: u.client_id)])
-        a, _ = fedadp_aggregate(updates, initial_state(template),
-                                AggregatorConfig(strategy="fedadp"), g_mean)
-        b, _ = fedadp_aggregate(shuffled, initial_state(template),
-                                AggregatorConfig(strategy="fedadp"), g_mean)
-        np.testing.assert_allclose(a.to_flat(), b.to_flat(), atol=1e-12)
+        state = initial_state(ps(*np.zeros(25)))
+        matrix = rng.uniform(size=(4, 4))
+        for strategy in STRATEGIES:
+            cfg = AggregatorConfig(strategy=strategy)
+            a, state_a = aggregate(updates, state, cfg, lambda models: matrix)
+            b, state_b = aggregate(shuffled, state, cfg, lambda models: matrix)
+            assert np.array_equal(a.to_flat(), b.to_flat()), strategy
+            assert np.array_equal(state_a.m.to_flat(), state_b.m.to_flat())
+            assert state_a.smoothed_angles == state_b.smoothed_angles
 
 
 class TestConfigValidation:

@@ -21,7 +21,7 @@ from fedsim.federation import (
 from fedsim.models import (Batch, ModelSpec, cross_accuracy, evaluate, init_params,
                            loss_and_grad)
 from fedsim.tensors import ParameterSet, zip_map
-from fedsim.training import ClientUpdate, LocalConfig, local_params_from_update
+from fedsim.training import LocalConfig
 
 
 def small_cfg(**kwargs):
@@ -210,16 +210,14 @@ class TestTrainAccuracyReads:
 
 class TestBoostingInputs:
     SIZES = [1, 9, 64, 131, 2]  # unequal validation sets, one of one row
-    LR = 0.05
 
     def inputs(self, spec, scales):
+        """Models at the given distances from one set of weights, and the
+        validation sets, apart and back to back."""
         rng = np.random.default_rng(5)
-        global_params = init_params(spec, 1)
-        updates = [
-            ClientUpdate(cid, global_params.with_flat(
-                rng.normal(scale=scale, size=global_params.to_flat().size)),
-                10, 0.5, 0.25 * cid)
-            for cid, scale in enumerate(scales)]
+        w0 = init_params(spec, 1)
+        models = [w0.with_flat(w0.to_flat() + rng.normal(
+            scale=scale, size=w0.to_flat().size)) for scale in scales]
         data = synth_blobs(spec.num_classes, 80, spec.input_dim, 1.5, 3)
         data = data.subset(rng.permutation(data.n))
         val_sets = []
@@ -229,9 +227,7 @@ class TestBoostingInputs:
         val_all = Dataset(np.concatenate([v.features for v in val_sets]),
                           np.concatenate([v.labels for v in val_sets]),
                           spec.num_classes)
-        models = (local_params_from_update(global_params, u, self.LR)
-                  for u in updates)
-        return global_params, updates, val_sets, val_all, models
+        return models, val_sets, val_all
 
     @pytest.mark.parametrize("spec", [
         ModelSpec("mlp", input_dim=32, num_classes=10, hidden_dim=64),
@@ -240,43 +236,33 @@ class TestBoostingInputs:
         ModelSpec("softmax_regression", input_dim=6, num_classes=4),
     ], ids=lambda s: f"{s.kind}-{s.activation}")
     def test_matrix_equals_the_per_pair_evaluate_loop(self, spec):
-        global_params, updates, val_sets, val_all, models = self.inputs(
-            spec, [0.0, 1.0, 5.0, 20.0])
-        cross_val = cross_accuracy(models, spec, val_all, self.SIZES)
-        expected = np.array([
-            [evaluate(local_params_from_update(global_params, u, self.LR),
-                      spec, val)[0] for val in val_sets]
-            for u in updates])
+        models, val_sets, val_all = self.inputs(spec, [0.0, 0.05, 0.25, 1.0])
+        cross_val = cross_accuracy(iter(models), spec, val_all, self.SIZES)
+        expected = np.array([[evaluate(model, spec, val)[0] for val in val_sets]
+                             for model in models])
         assert np.array_equal(cross_val, expected)
 
     def test_overflowing_local_weights_raise_non_finite(self):
         spec = ModelSpec("mlp", input_dim=32, num_classes=10, hidden_dim=64)
-        global_params, updates, val_sets, val_all, models = self.inputs(
-            spec, [1.0, 1e306])
-        local = local_params_from_update(global_params, updates[1], self.LR)
+        models, val_sets, val_all = self.inputs(spec, [0.05, 5e304])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="evaluate: non-finite loss"):
-                evaluate(local, spec, val_sets[0])
+                evaluate(models[1], spec, val_sets[0])
             with pytest.raises(NonFiniteError, match="evaluate: non-finite loss"):
                 cross_accuracy(models, spec, val_all, self.SIZES)
 
     def test_run_passes_each_clients_inputs_to_the_strategy(self, monkeypatch):
         """What a fedboosting run hands fedboosting_aggregate: the clients'
-        train accuracies in client order, and each local model's accuracy
-        on each client's held-out split."""
+        train accuracies in client order, and each client's trained model's
+        accuracy on each client's held-out split."""
         cfg = small_cfg(num_clients=4, rounds=2, partition="label_skew",
                         synth_per_class=60,
                         aggregator=AggregatorConfig(strategy="fedboosting"))
         seen = []
 
         def spy(updates, cross_val, train_metrics):
-            seen.append((params[0], list(updates), np.array(cross_val),
-                         list(train_metrics)))
+            seen.append((list(updates), np.array(cross_val), list(train_metrics)))
             return fedboosting_aggregate(updates, cross_val, train_metrics)
-
-        def keep_params(w, big_g, step_scale):
-            params[0] = apply_global_update(w, big_g, step_scale)
-            return params[0]
 
         data = synth_blobs(cfg.synth_classes, cfg.synth_per_class,
                            cfg.synth_dim, cfg.synth_spread, cfg.seed)
@@ -285,19 +271,15 @@ class TestBoostingInputs:
                                      client_seed(cfg.seed, 0, cid))[1]
                     for cid, idx in enumerate(partition.shards)]
         spec = build_model_spec(cfg, data)
-        params = [init_params(spec, cfg.seed)]
         monkeypatch.setattr(federation.agg, "fedboosting_aggregate", spy)
-        monkeypatch.setattr(federation, "apply_global_update", keep_params)
         run_federation(cfg, data)
 
         assert len(seen) == cfg.rounds
-        for global_params, updates, cross_val, train_metrics in seen:
+        for updates, cross_val, train_metrics in seen:
             assert [u.client_id for u in updates] == [0, 1, 2, 3]
             assert train_metrics == [u.train_accuracy for u in updates]
             expected = np.array([
-                [evaluate(local_params_from_update(global_params, u,
-                                                   cfg.local.lr),
-                          spec, val)[0] for val in val_sets]
+                [evaluate(u.local_params, spec, val)[0] for val in val_sets]
                 for u in updates])
             assert np.array_equal(cross_val, expected)
 

@@ -6,8 +6,7 @@ from fedsim.data import synth_blobs
 from fedsim.errors import NonFiniteError
 from fedsim.models import Batch, ModelSpec, evaluate, init_params, loss_and_grad
 from fedsim.tensors import ParameterSet, zip_map
-from fedsim.training import (ClientUpdate, LocalConfig, local_params_from_update,
-                             train_local)
+from fedsim.training import ClientUpdate, LocalConfig, train_local
 
 SPEC = ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=6)
 REF_SPECS = [
@@ -81,10 +80,10 @@ class TestTrainLocal:
         params = init_params(SPEC, 7)
         cfg = LocalConfig(batch_size=6)
         update = train_local(params, SPEC, shard, cfg, seed=4)
-        local = local_params_from_update(params, update, cfg.lr)
-        # final = global - lr * pseudo holds by construction
+        # final = global - lr * pseudo holds up to the rounding of the division
         redone = (params.to_flat() - cfg.lr * update.pseudo_gradient.to_flat())
-        np.testing.assert_allclose(local.to_flat(), redone, atol=1e-15)
+        np.testing.assert_allclose(update.local_params.to_flat(), redone,
+                                   atol=1e-15)
 
     def test_update_metadata(self):
         shard = make_shard(seed=1)
@@ -275,12 +274,13 @@ def test_train_local_is_bit_identical_to_the_reference_loop(spec, momentum):
     params = init_params(spec, 9)
     for rnd in range(3):
         update = train_local(params, spec, shard, cfg, seed=20 + rnd)
-        pseudo, loss, accuracy, _ = _ref_train_local(params, spec, shard, cfg,
-                                                     seed=20 + rnd)
+        pseudo, loss, accuracy, final = _ref_train_local(params, spec, shard,
+                                                         cfg, seed=20 + rnd)
         assert np.array_equal(update.pseudo_gradient.to_flat(), pseudo.to_flat())
+        assert np.array_equal(update.local_params.to_flat(), final.to_flat())
         assert update.train_loss == loss
         assert update.train_accuracy == accuracy
-        params = local_params_from_update(params, update, cfg.lr)
+        params = final
 
 
 def test_divergence_names_the_client_and_the_phase():
