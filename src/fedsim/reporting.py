@@ -178,6 +178,9 @@ def load_metrics(run_dir_path) -> list[dict]:
 
 def compare_runs(dirs: list, threshold: float, out_path=None) -> list[dict]:
     """One summary row per run; optionally written as comparison.csv."""
+    if not 0.0 <= threshold <= 1.0:  # NaN fails it too
+        raise FedSimError(
+            f"threshold must be a finite number in [0, 1], got {threshold}")
     rows = []
     for d in dirs:
         metrics = load_metrics(d)

@@ -135,6 +135,27 @@ def test_compare(tmp_path, capsys):
     assert "rounds_to_threshold" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+def test_compare_rejects_a_threshold_outside_0_1(tmp_path, capsys, threshold):
+    run_d = tmp_path / "run"
+    run_d.mkdir()
+    (run_d / "metrics.jsonl").write_text('{"round": 1, "test_acc": 0.5}\n')
+    (run_d / "manifest.json").write_text('{"strategy": "fedavg"}\n')
+    assert main(["compare", "--runs", str(run_d), "--threshold", threshold]) == 2
+    err = assert_one_line_error(capsys, "error: threshold must be a finite "
+                                        "number in [0, 1], got ")
+    assert err.rstrip().endswith(str(float(threshold)))
+
+
+def test_a_shard_too_small_to_hold_out_names_its_client(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {
+        "strategy": "fedboosting", "num_clients": 40, "partition": "label_skew",
+        "concentration": 0.05, "synth_per_class": 20, "rounds": 2, "seed": 0})
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert_one_line_error(capsys, "error: client 0: fedboosting hold-out: "
+                                  "need at least 2 samples to split")
+
+
 @pytest.mark.parametrize("name,content,out", [
     ("metrics.jsonl", b'{"round": 1}\n', None),
     ("metrics.jsonl", b"[1, 2]\n", None),

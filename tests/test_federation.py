@@ -8,7 +8,8 @@ import pytest
 from fedsim import federation, training
 from fedsim.aggregators import AggregatorConfig, fedboosting_aggregate
 from fedsim.data import Dataset, synth_blobs, split_train_test
-from fedsim.errors import NonFiniteError, RunError, StructureMismatchError
+from fedsim.errors import (InsufficientDataError, NonFiniteError, RunError,
+                           StructureMismatchError)
 from fedsim.federation import (
     FederationConfig,
     TRAIN_RATIO,
@@ -134,6 +135,17 @@ class TestRunFederation:
                         synth_per_class=60)
         records = run_federation(cfg)
         assert len(records) == cfg.rounds
+
+    def test_a_shard_too_small_to_hold_out_names_its_client(self):
+        """fedboosting holds out part of every shard; a one-row shard has
+        nothing to split, and the error says whose it is."""
+        cfg = small_cfg(num_clients=40, partition="label_skew",
+                        concentration=0.05, synth_classes=5, synth_per_class=20,
+                        seed=0, aggregator=AggregatorConfig(strategy="fedboosting"))
+        with pytest.raises(InsufficientDataError) as err:
+            run_federation(cfg)
+        assert str(err.value) == ("client 0: fedboosting hold-out: "
+                                  "need at least 2 samples to split")
 
     def test_client_seed_is_pure_function(self):
         assert client_seed(1, 2, 3) == client_seed(1, 2, 3)

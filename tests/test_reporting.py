@@ -198,6 +198,13 @@ class TestCompareRuns:
         assert lines[0].startswith("strategy,variant,final_test_acc")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1,
+                                           1.5])
+    def test_threshold_outside_0_1_rejected(self, tmp_path, threshold):
+        out = emit(tmp_path)
+        with pytest.raises(FedSimError, match=f"got {threshold}"):
+            compare_runs([out], threshold=threshold)
+
     def test_missing_metrics_names_dir(self, tmp_path):
         bogus = tmp_path / "nothere"
         with pytest.raises(FedSimError, match="nothere"):
