@@ -387,7 +387,7 @@ CROSS_VAL = np.array([[0.5, 0.9, 0.8], [0.4, 0.5, 0.7], [0.6, 0.7, 0.5]])
 
 
 def cross_validate(models):
-    return CROSS_VAL[:len(models), :len(models)]
+    return CROSS_VAL
 
 
 @pytest.mark.parametrize("strategy", ["ewwa", "fedams", "fedavg", "fedboosting",
