@@ -4,8 +4,9 @@ Each config runs through run_federation and emit_metrics, the path of
 `fedsim run`, and its metrics.jsonl must hash to its value in PINS, so a
 change that moves one bit of any round's output fails here. Together the
 configs cover all six strategies, fedopt's three variants, both model
-kinds, both activations, and IID and label-skewed partitions whose shards
-differ in size (so that fedadp's weights differ from fedavg's).
+kinds, both activations, one and two local epochs, and IID and
+label-skewed partitions whose shards differ in size (so that fedadp's
+weights differ from fedavg's).
 
 The pins hold for the NumPy and BLAS named in PINNED_STACK; they do not
 depend on the BLAS thread count. To print fresh pins for the running stack:
@@ -29,6 +30,7 @@ SKEW = {"partition": "label_skew", "concentration": 0.3}
 CONFIGS = {
     "fedavg-iid": {},
     "fedavg-skew": SKEW,
+    "fedavg-skew-2-epochs": {**SKEW, "local_epochs": 2, "momentum": 0.0},
     "fedadp-skew": {**SKEW, "strategy": "fedadp"},
     "fedopt-adam-sigmoid": {"strategy": "fedopt", "variant": "adam",
                             "activation": "sigmoid", "server_lr": 0.01},
@@ -52,6 +54,8 @@ PINS = {
         "985bc14410f6dbb12bce9a4c9f8515d1fa849ecacf5baccb992efbc66f7901d7",
     "fedavg-skew":
         "f75b6707bef8e36b190eab35434e540f5e0ed3eacbb636772f912d3f6d880604",
+    "fedavg-skew-2-epochs":
+        "66dd7bc062c3e024ce76a17e5e6215a11005506e07fcc267b88b167fd5cea365",
     "fedadp-skew":
         "cdaaefd5f4133fcd3b3325c5b7093d968116e68c946491be5e79574a70f6d11b",
     "fedopt-adam-sigmoid":
