@@ -79,7 +79,7 @@ class AggregatorState:
 
 
 def initial_state(template: ParameterSet) -> AggregatorState:
-    zeros = ParameterSet.zeros_like(template)
+    zeros = template.with_flat(np.zeros_like(template.to_flat()))
     return AggregatorState(round=0, m=zeros, v=zeros, v_max=zeros,
                            smoothed_angles={})
 
@@ -97,8 +97,10 @@ def _stacked(updates: list[ClientUpdate], state: AggregatorState | None = None,
 
 def _weighted_sum(updates: list[ClientUpdate], g: np.ndarray,
                   weights: np.ndarray) -> ParameterSet:
-    """sum_c weights[c] * g[c], adding the rows in client order; consumes g."""
-    g *= weights[:, None]
+    """sum_c weights[c] * g[c], adding the rows in client order; consumes g.
+
+    weights is (C,), one scalar per client, or (C, P), one per element."""
+    g *= weights.reshape(len(g), -1)
     return updates[0].pseudo_gradient.with_flat(g.sum(axis=0))
 
 
@@ -187,8 +189,7 @@ def ewwa_aggregate(updates: list[ClientUpdate], state: AggregatorState,
     m /= v
     del v
     p = column_softmax(m)
-    g *= p
-    big_g = like(g.sum(axis=0))
+    big_g = _weighted_sum(updates, g, p)
     if return_proportions:
         return big_g, new_state, [like(row) for row in p]
     return big_g, new_state

@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+from contextlib import contextmanager
 
 
 class FedSimError(Exception):
@@ -48,3 +49,13 @@ class RunError(FedSimError):
         super().__init__(f"round {round_num}: {cause}")
         self.round_num = round_num
         self.cause = cause
+
+
+@contextmanager
+def naming(prefix: str, *types: type[Exception]):
+    """Re-raise an error of one of `types` raised in the block as its own
+    type, its message prefixed with `prefix: `, chained from the original."""
+    try:
+        yield
+    except types as exc:
+        raise type(exc)(f"{prefix}: {exc}") from exc

@@ -23,7 +23,7 @@ from .data import (
     split_train_test,
     synth_blobs,
 )
-from .errors import FedSimError, InsufficientDataError, RunError
+from .errors import FedSimError, InsufficientDataError, RunError, naming
 from .models import (ACTIVATIONS, MODEL_KINDS, ModelSpec, cross_accuracy, evaluate,
                      init_params)
 from .tensors import ParameterSet, zip_map
@@ -127,15 +127,6 @@ def build_partition(cfg: FederationConfig, data: Dataset):
     return train, test, partition
 
 
-def _hold_out(shard: Dataset, seed: int, cid: int) -> tuple[Dataset, Dataset]:
-    """A fedboosting client's shard split into training and validation."""
-    try:
-        return split_train_test(shard, TRAIN_RATIO, client_seed(seed, 0, cid))
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(
-            f"client {cid}: fedboosting hold-out: {exc}") from exc
-
-
 def keep_freed_arrays_in_heap() -> None:
     """Fix glibc's malloc thresholds, so that freed arrays stay in the heap.
 
@@ -170,7 +161,12 @@ def run_federation(cfg: FederationConfig,
     cross_validate = None
     if cfg.aggregator.strategy == "fedboosting":
         # each client holds out a local validation slice for the V matrix
-        splits = [_hold_out(shard, cfg.seed, cid) for cid, shard in enumerate(shards)]
+        splits = []
+        for cid, shard in enumerate(shards):
+            with naming(f"client {cid}: fedboosting hold-out",
+                        InsufficientDataError):
+                splits.append(split_train_test(shard, TRAIN_RATIO,
+                                               client_seed(cfg.seed, 0, cid)))
         shards = [tr for tr, _ in splits]
         val_all = Dataset(np.concatenate([v.features for _, v in splits]),
                           np.concatenate([v.labels for _, v in splits]),

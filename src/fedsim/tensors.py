@@ -3,15 +3,15 @@
 A ParameterSet holds one read-only, contiguous float64 vector and an
 immutable layout: for every layer its name, shape and the [start, stop)
 slice of the vector it occupies. Only this module knows that layout.
-Every set derived from another (with_flat, map, zip_map, mean, ...)
-shares the layout object, so element-wise arithmetic is one NumPy call
-over the whole vector and a structure check between related sets is an
-identity test. Values are checked to be finite whenever a set is built,
+Every set derived from another (with_flat, zip_map, mean) shares the
+layout object, so element-wise arithmetic is one NumPy call over the
+whole vector and a structure check between related sets is an identity
+test. Values are checked to be finite whenever a set is built,
 so no public operation can hand back NaN or Inf.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class ParameterSet:
     """Ordered named layers stored back to back in one flat float64 vector.
 
     Instances are immutable: every operation builds a new set, and the
-    arrays handed out by layer() and iteration are read-only views.
+    arrays handed out by layers() are read-only views.
     """
 
     __slots__ = ("_layout", "_flat")
@@ -70,19 +70,6 @@ class ParameterSet:
         flat = np.concatenate(chunks) if chunks else np.empty(0)
         self._flat = _frozen(self._layout, flat)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, *_ in self._layout)
-
-    def layer(self, name: str) -> np.ndarray:
-        for n, _, start, stop in self._layout:
-            if n == name:
-                return self._flat[start:stop]
-        raise ValueError(f"no layer named {name!r}")
-
-    def __iter__(self) -> Iterator[tuple[str, tuple[int, ...], np.ndarray]]:
-        return ((n, s, self._flat[start:stop]) for n, s, start, stop in self._layout)
-
     def check_structure(self, other: "ParameterSet") -> None:
         if self._layout is other._layout:
             return
@@ -98,13 +85,6 @@ class ParameterSet:
                 raise StructureMismatchError(
                     f"layer {name_a!r}: shape {a[i][1]} vs {b[i][1]}"
                 )
-
-    def map(self, f: Callable[[np.ndarray], np.ndarray]) -> "ParameterSet":
-        return self.with_flat(f(self._flat))
-
-    @classmethod
-    def zeros_like(cls, template: "ParameterSet") -> "ParameterSet":
-        return template.map(np.zeros_like)
 
     def to_flat(self) -> np.ndarray:
         """A writable copy of the whole vector, in layer order."""

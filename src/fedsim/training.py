@@ -7,13 +7,12 @@ to the analytic gradient.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyInputError, NonFiniteError
+from .errors import EmptyInputError, NonFiniteError, naming
 from .models import Batch, ModelSpec, evaluate, loss_and_grad
 from .tensors import ParameterSet, zip_map
 
@@ -67,16 +66,6 @@ class ClientUpdate:
     local_params: ParameterSet | None = None
 
 
-@contextmanager
-def _local_training(client_id: int):
-    """Name the client and the phase in a NonFiniteError raised in the block."""
-    try:
-        yield
-    except NonFiniteError as exc:
-        raise NonFiniteError(
-            f"client {client_id}: local training: {exc}") from exc
-
-
 def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
                 cfg: LocalConfig, seed: int, client_id: int = 0) -> ClientUpdate:
     """One round of local SGD-with-momentum; velocity starts at zero.
@@ -97,7 +86,8 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     step = np.empty_like(w)
     w_views, g_views = global_params.views(w), global_params.views(g)
     last_epoch_losses: list[float] = []
-    with _local_training(client_id):
+    phase = f"client {client_id}: local training"
+    with naming(phase, NonFiniteError):
         for _ in range(cfg.local_epochs):
             order = rng.permutation(shard.n)
             features, labels = shard.features[order], shard.labels[order]
@@ -119,7 +109,7 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
                                   lambda w0, w: (w0 - w) * (1.0 / cfg.lr))
 
     def train_accuracy() -> float:
-        with _local_training(client_id):
+        with naming(phase, NonFiniteError):
             return evaluate(params, spec, shard)[0]
 
     return ClientUpdate(

@@ -50,14 +50,14 @@ class TestInit:
     def test_biases_zero(self):
         for spec in SPECS:
             params = init_params(spec, 0)
-            for name, _, values in params:
+            for name, values in params.layers().items():
                 if name.endswith("bias"):
                     assert np.all(values == 0.0)
 
     def test_weight_mean_matches_uniform(self):
         spec = ModelSpec("softmax_regression", input_dim=100, num_classes=100)
         params = init_params(spec, 7)
-        w = params.layer("out_weight")
+        w = params.layers()["out_weight"]
         limit = np.sqrt(6.0 / 200)
         # uniform(-limit, limit): mean 0, sd limit/sqrt(3)
         sigma_mean = limit / np.sqrt(3.0) / np.sqrt(w.size)
@@ -78,7 +78,8 @@ class TestLossAndGrad:
         rng = np.random.default_rng(0)
         for k in (2, 4, 10):
             spec = ModelSpec("softmax_regression", input_dim=5, num_classes=k)
-            zeros = init_params(spec, 0).map(np.zeros_like)
+            params = init_params(spec, 0)
+            zeros = params.with_flat(np.zeros_like(params.to_flat()))
             loss, _ = loss_and_grad(zeros, spec, random_batch(rng, spec))
             assert loss == pytest.approx(np.log(k), abs=1e-12)
 
@@ -144,9 +145,8 @@ class TestEvaluate:
         spec = SPECS[0]
         params = init_params(spec, 2)
         feats = rng.normal(size=(30, spec.input_dim))
-        weight = params.layer("out_weight").reshape(spec.input_dim,
-                                                    spec.num_classes)
-        logits = feats @ weight + params.layer("out_bias")
+        weight = params.layers()["out_weight"]
+        logits = feats @ weight + params.layers()["out_bias"]
         labels = np.argmax(logits, axis=1)
         data = Dataset(feats, labels, spec.num_classes)
         acc, _ = evaluate(params, spec, data)
@@ -154,7 +154,8 @@ class TestEvaluate:
 
     def test_zero_params_loss_ln10(self):
         spec = ModelSpec("softmax_regression", input_dim=4, num_classes=10)
-        zeros = init_params(spec, 0).map(np.zeros_like)
+        params = init_params(spec, 0)
+        zeros = params.with_flat(np.zeros_like(params.to_flat()))
         rng = np.random.default_rng(3)
         data = Dataset(rng.normal(size=(20, 4)),
                        rng.integers(0, 10, size=20), 10)
@@ -169,14 +170,12 @@ class TestEvaluate:
         labels = rng.integers(0, spec.num_classes, size=100)
         data = Dataset(feats, labels, spec.num_classes)
         acc, _ = evaluate(params, spec, data)
-        hidden_w = params.layer("hidden_weight").reshape(spec.input_dim,
-                                                         spec.hidden_dim)
-        out_w = params.layer("out_weight").reshape(spec.hidden_dim,
-                                                   spec.num_classes)
+        hidden_w = params.layers()["hidden_weight"]
+        out_w = params.layers()["out_weight"]
         correct = 0
         for row, label in zip(feats, labels):
-            hidden = np.maximum(row @ hidden_w + params.layer("hidden_bias"), 0.0)
-            logits = hidden @ out_w + params.layer("out_bias")
+            hidden = np.maximum(row @ hidden_w + params.layers()["hidden_bias"], 0.0)
+            logits = hidden @ out_w + params.layers()["out_bias"]
             if np.argmax(logits) == label:
                 correct += 1
         assert acc == pytest.approx(correct / 100.0, abs=1e-15)
@@ -193,7 +192,8 @@ class TestEvaluate:
 
     def test_argmax_tie_breaks_to_lowest_class(self):
         spec = ModelSpec("softmax_regression", input_dim=2, num_classes=3)
-        zeros = init_params(spec, 0).map(np.zeros_like)
+        params = init_params(spec, 0)
+        zeros = params.with_flat(np.zeros_like(params.to_flat()))
         feats = np.zeros((4, 2))
         for label, expected in ((0, 1.0), (1, 0.0)):
             data = Dataset(feats, np.full(4, label), spec.num_classes)
@@ -202,7 +202,8 @@ class TestEvaluate:
 
     def test_overflowing_logits_raise_non_finite(self):
         spec = ModelSpec("softmax_regression", input_dim=2, num_classes=3)
-        huge = init_params(spec, 0).map(lambda v: np.full_like(v, 1e308))
+        params = init_params(spec, 0)
+        huge = params.with_flat(np.full_like(params.to_flat(), 1e308))
         data = Dataset(np.full((4, 2), 10.0), np.zeros(4, dtype=int), 3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="non-finite loss"):

@@ -197,16 +197,16 @@ def test_train_loss_trend_decreases_over_rounds():
 
 def _ref_forward(params, spec, x):
     if spec.kind == "softmax_regression":
-        w = params.layer("out_weight").reshape(spec.input_dim, spec.num_classes)
-        return x @ w + params.layer("out_bias"), (x,)
-    w1 = params.layer("hidden_weight").reshape(spec.input_dim, spec.hidden_dim)
-    w2 = params.layer("out_weight").reshape(spec.hidden_dim, spec.num_classes)
-    z1 = x @ w1 + params.layer("hidden_bias")
+        w = params.layers()["out_weight"]
+        return x @ w + params.layers()["out_bias"], (x,)
+    w1 = params.layers()["hidden_weight"]
+    w2 = params.layers()["out_weight"]
+    z1 = x @ w1 + params.layers()["hidden_bias"]
     if spec.activation == "relu":
         h = np.maximum(z1, 0.0)
     else:
         h = 1.0 / (1.0 + np.exp(-z1))
-    return h @ w2 + params.layer("out_bias"), (x, z1, h, w2)
+    return h @ w2 + params.layers()["out_bias"], (x, z1, h, w2)
 
 
 def _ref_softmax_rows(logits):
@@ -242,14 +242,14 @@ def _ref_loss_and_grad(params, spec, batch):
         grads = {"hidden_weight": x.T @ dz1, "hidden_bias": dz1.sum(axis=0),
                  "out_weight": h.T @ dlogits, "out_bias": dlogits.sum(axis=0)}
     return loss, params.with_flat(
-        np.concatenate([grads[name] for name in params.names], axis=None))
+        np.concatenate([grads[name] for name in params.layers()], axis=None))
 
 
 def _ref_train_local(global_params, spec, shard, cfg, seed):
     """(pseudo-gradient, train loss, train accuracy, final weights)."""
     rng = np.random.default_rng(seed)
     params = global_params
-    velocity = ParameterSet.zeros_like(global_params)
+    velocity = global_params.with_flat(np.zeros_like(global_params.to_flat()))
     for _ in range(cfg.local_epochs):
         order = rng.permutation(shard.n)
         losses = []
