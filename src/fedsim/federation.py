@@ -27,7 +27,7 @@ from .errors import FedSimError, InsufficientDataError, RunError, naming
 from .models import (ACTIVATIONS, MODEL_KINDS, ModelSpec, cross_accuracy, evaluate,
                      init_params)
 from .tensors import ParameterSet, zip_map
-from .training import LocalConfig, train_local
+from .training import ClientUpdate, LocalConfig, train_local
 
 TRAIN_RATIO = 0.9
 
@@ -127,6 +127,14 @@ def build_partition(cfg: FederationConfig, data: Dataset):
     return train, test, partition
 
 
+def train_round(params: ParameterSet, spec: ModelSpec, shards: list[Dataset],
+                cfg: FederationConfig, round_num: int) -> list[ClientUpdate]:
+    """Every client's local training from params, in client order."""
+    return [train_local(params, spec, shard, cfg.local,
+                        client_seed(cfg.seed, round_num, cid), client_id=cid)
+            for cid, shard in enumerate(shards)]
+
+
 def keep_freed_arrays_in_heap() -> None:
     """Fix glibc's malloc thresholds, so that freed arrays stay in the heap.
 
@@ -182,11 +190,7 @@ def run_federation(cfg: FederationConfig,
             # overflow yields inf/NaN, which the finite checks turn into
             # NonFiniteError; NumPy's own warnings would only repeat it
             with np.errstate(over="ignore", invalid="ignore"):
-                updates = [
-                    train_local(params, spec, shards[cid], cfg.local,
-                                client_seed(cfg.seed, r, cid), client_id=cid)
-                    for cid in range(cfg.num_clients)
-                ]
+                updates = train_round(params, spec, shards, cfg, r)
                 big_g, state = agg.aggregate(updates, state, cfg.aggregator,
                                              cross_validate)
                 params = apply_global_update(params, big_g, cfg.global_step_scale)

@@ -22,7 +22,7 @@ from fedsim.federation import (
 from fedsim.models import (Batch, ModelSpec, cross_accuracy, evaluate, init_params,
                            loss_and_grad)
 from fedsim.tensors import ParameterSet, zip_map
-from fedsim.training import LocalConfig
+from fedsim.training import LocalConfig, train_local
 
 
 def small_cfg(**kwargs):
@@ -151,6 +151,43 @@ class TestRunFederation:
         assert client_seed(1, 2, 3) == client_seed(1, 2, 3)
         assert client_seed(1, 2, 3) != client_seed(1, 2, 4)
         assert client_seed(1, 2, 3) != client_seed(1, 3, 3)
+
+
+class TestTrainRound:
+    def test_is_one_train_local_call_per_client_bit_for_bit(self):
+        """train_round trains every client from the same weights, in client
+        order, on the client's own (seed, round, client) stream."""
+        cfg = small_cfg(num_clients=4, partition="label_skew", concentration=0.3,
+                        model_kind="mlp", hidden_dim=5, synth_per_class=60)
+        data = federation.load_source(cfg)
+        train, _, partition = build_partition(cfg, data)
+        shards = [train.subset(idx) for idx in partition.shards]
+        assert len({s.n for s in shards}) > 1
+        spec = build_model_spec(cfg, data)
+        params = init_params(spec, cfg.seed)
+        updates = federation.train_round(params, spec, shards, cfg, 2)
+        assert [u.client_id for u in updates] == [0, 1, 2, 3]
+        for cid, (update, shard) in enumerate(zip(updates, shards)):
+            ref = train_local(params, spec, shard, cfg.local,
+                              client_seed(cfg.seed, 2, cid), client_id=cid)
+            assert np.array_equal(update.pseudo_gradient.to_flat(),
+                                  ref.pseudo_gradient.to_flat())
+            assert np.array_equal(update.local_params.to_flat(),
+                                  ref.local_params.to_flat())
+            assert update.train_loss == ref.train_loss
+            assert update.num_samples == shard.n
+
+    def test_run_federation_trains_every_round_through_it(self, monkeypatch):
+        rounds = []
+        train_round = federation.train_round
+
+        def spy(params, spec, shards, cfg, round_num):
+            rounds.append(round_num)
+            return train_round(params, spec, shards, cfg, round_num)
+
+        monkeypatch.setattr(federation, "train_round", spy)
+        run_federation(small_cfg(rounds=3))
+        assert rounds == [1, 2, 3]
 
 
 class TestTrainAccuracyReads:
