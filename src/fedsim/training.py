@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyInputError, NonFiniteError, naming
+from .errors import NonFiniteError, naming
 from .models import Batch, ModelSpec, evaluate, loss_and_grad
 from .tensors import ParameterSet, zip_map
 
@@ -77,8 +77,6 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     train_accuracy scores them on the shard when it is first read, and
     names the client in a NonFiniteError as training does.
     """
-    if shard.n < 1:
-        raise EmptyInputError("client shard is empty")
     rng = np.random.default_rng(seed)
     w = global_params.to_flat()
     u = np.zeros_like(w)
