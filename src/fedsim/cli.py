@@ -5,7 +5,8 @@ Subcommands:
   partition-preview  --config <path>
   compare            --runs <dir>... --threshold <acc> [--out <csv>]
 
-Exit codes: 0 success, 1 config error, 2 runtime error.
+Exit codes: 0 success, 1 config error, 2 runtime error (out of memory
+included).
 """
 from __future__ import annotations
 
@@ -94,6 +95,9 @@ def main(argv=None) -> int:
         return 1
     except FedSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -156,6 +156,15 @@ def test_a_shard_too_small_to_hold_out_names_its_client(tmp_path, capsys):
                                   "need at least 2 samples to split")
 
 
+def test_a_run_too_large_for_memory_is_a_runtime_error(tmp_path, capsys):
+    # a 2 EiB hidden layer exceeds any address space: the allocation fails
+    # at once and touches no memory
+    cfg_path = write_config(tmp_path, {"hidden_dim": 2**58, "rounds": 1})
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert_one_line_error(capsys, "error: out of memory: Unable to allocate "
+                                  "2.00 EiB")
+
+
 @pytest.mark.parametrize("name,content,out", [
     ("metrics.jsonl", b'{"round": 1}\n', None),
     ("metrics.jsonl", b"[1, 2]\n", None),
