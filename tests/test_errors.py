@@ -20,10 +20,3 @@ def test_naming_leaves_other_errors_alone():
         with naming("client 0: local training", NonFiniteError):
             raise original
     assert err.value is original
-
-
-def test_naming_returns_what_the_block_returns():
-    def read():
-        with naming("client 0: local training", NonFiniteError):
-            return 0.5
-    assert read() == 0.5
