@@ -6,8 +6,8 @@ slice of the vector it occupies. Only this module knows that layout.
 Every set derived from another (with_flat, zip_map, mean) shares the
 layout object, so element-wise arithmetic is one NumPy call over the
 whole vector and a structure check between related sets is an identity
-test. Values are checked to be finite whenever a set is built,
-so no public operation can hand back NaN or Inf.
+test. Values are checked to be finite whenever a set is built, so no
+public operation can hand back NaN or Inf.
 """
 from __future__ import annotations
 
