@@ -42,6 +42,7 @@ CONFIGS = {
     "fedams-skew": {**SKEW, "strategy": "fedams", "server_lr": 0.01},
     "ewwa-iid": {"strategy": "ewwa"},
     "ewwa-skew-sigmoid": {**SKEW, "strategy": "ewwa", "activation": "sigmoid"},
+    "ewwa-softmax": {"strategy": "ewwa", "model_kind": "softmax_regression"},
     "fedboosting-skew": {**SKEW, "concentration": 1.0,
                          "strategy": "fedboosting"},
     "fedboosting-softmax": {"strategy": "fedboosting",
@@ -70,6 +71,8 @@ PINS = {
         "2848babed017bf66bb4f33a63a96ced7d641976fd6c2a52d4ae38ce15a9a7651",
     "ewwa-skew-sigmoid":
         "a795986f487221d80bec0ae090ca318ee8f6cf18fa888569f08b706f4feab803",
+    "ewwa-softmax":
+        "b1ef113175eb0e6e9f0d8a988eb6a2be09b0b02babb71dce0428a744161f3972",
     "fedboosting-skew":
         "b064c441007daddb30edfbb56d5c7f86d2116385470e46e644ae81648ed88811",
     "fedboosting-softmax":
