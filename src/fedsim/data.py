@@ -209,7 +209,5 @@ def partition_label_skew(train: Dataset, num_clients: int, concentration: float,
     for c in range(num_clients):
         while not shards[c]:
             donor = max(range(num_clients), key=lambda j: len(shards[j]))
-            if len(shards[donor]) <= 1:
-                raise InsufficientDataError("cannot make every shard non-empty")
             shards[c].append(shards[donor].pop())
     return Partition([np.sort(np.asarray(s, dtype=np.int64)) for s in shards], train.n)

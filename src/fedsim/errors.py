@@ -48,7 +48,6 @@ class RunError(FedSimError):
     def __init__(self, round_num: int, cause: Exception):
         super().__init__(f"round {round_num}: {cause}")
         self.round_num = round_num
-        self.cause = cause
 
 
 @contextmanager

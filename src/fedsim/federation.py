@@ -24,8 +24,8 @@ from .data import (
     synth_blobs,
 )
 from .errors import FedSimError, InsufficientDataError, RunError, naming
-from .models import (ACTIVATIONS, MODEL_KINDS, ModelSpec, cross_accuracy, evaluate,
-                     init_params)
+from .models import (ACTIVATIONS, MLP, MODEL_KINDS, ModelSpec, cross_accuracy,
+                     evaluate, init_params)
 from .tensors import ParameterSet, zip_map
 from .training import ClientUpdate, LocalConfig, train_local
 
@@ -110,7 +110,7 @@ def build_model_spec(cfg: FederationConfig, data: Dataset) -> ModelSpec:
         kind=cfg.model_kind,
         input_dim=data.features.shape[1],
         num_classes=data.num_classes,
-        hidden_dim=cfg.hidden_dim if cfg.model_kind == "mlp" else 0,
+        hidden_dim=cfg.hidden_dim if cfg.model_kind == MLP else 0,
         activation=cfg.activation,
     )
 

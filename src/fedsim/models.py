@@ -1,10 +1,10 @@
 """Small differentiable classifiers with analytic forward/backward passes.
 
-Two model kinds are supported: plain softmax regression and a
-one-hidden-layer MLP. Both expose their weights as a ParameterSet whose
-layer names and shapes are a pure function of the ModelSpec, and both
-return analytic mean cross-entropy gradients that are checked against
-finite differences in the test suite.
+Two model kinds are supported: a one-hidden-layer MLP, and softmax
+regression, which is the MLP's output layer alone. Both expose their
+weights as a ParameterSet whose layer names and shapes are a pure
+function of the ModelSpec, and both return analytic mean cross-entropy
+gradients that are checked against finite differences in the test suite.
 """
 from __future__ import annotations
 
@@ -43,18 +43,13 @@ class ModelSpec:
 
     def layer_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         """Layer names and shapes, lexicographic by name (frozen order)."""
-        if self.kind == SOFTMAX_REGRESSION:
-            layers = [
-                ("out_bias", (self.num_classes,)),
-                ("out_weight", (self.input_dim, self.num_classes)),
-            ]
-        else:
-            layers = [
-                ("hidden_bias", (self.hidden_dim,)),
-                ("hidden_weight", (self.input_dim, self.hidden_dim)),
-                ("out_bias", (self.num_classes,)),
-                ("out_weight", (self.hidden_dim, self.num_classes)),
-            ]
+        layers, fan_in = [], self.input_dim
+        if self.kind == MLP:
+            layers = [("hidden_bias", (self.hidden_dim,)),
+                      ("hidden_weight", (self.input_dim, self.hidden_dim))]
+            fan_in = self.hidden_dim
+        layers += [("out_bias", (self.num_classes,)),
+                   ("out_weight", (fan_in, self.num_classes))]
         assert layers == sorted(layers)
         return layers
 
@@ -106,18 +101,16 @@ def _mean_loss(label_log_probs: np.ndarray) -> float:
 
 
 def _forward(w: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray):
-    """Returns (logits, hidden pre-activation, hidden activation); the
-    last two are None for softmax regression."""
-    if spec.kind == SOFTMAX_REGRESSION:
-        logits = x @ w["out_weight"]
-        logits += w["out_bias"]
-        return logits, None, None
-    z1 = x @ w["hidden_weight"]
-    z1 += w["hidden_bias"]
-    if spec.activation == "relu":
-        h = np.maximum(z1, 0.0)
-    else:
-        h = 1.0 / (1.0 + np.exp(-z1))
+    """Returns (logits, hidden pre-activation, output-layer input); softmax
+    regression has no hidden layer, so it returns (logits, None, x)."""
+    z1, h = None, x
+    if spec.kind == MLP:
+        z1 = x @ w["hidden_weight"]
+        z1 += w["hidden_bias"]
+        if spec.activation == "relu":
+            h = np.maximum(z1, 0.0)
+        else:
+            h = 1.0 / (1.0 + np.exp(-z1))
     logits = h @ w["out_weight"]
     logits += w["out_bias"]
     return logits, z1, h
@@ -141,8 +134,7 @@ def _loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
     dlogits /= row_sums
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
-    inputs = x if spec.kind == SOFTMAX_REGRESSION else h
-    np.matmul(inputs.T, dlogits, out=g["out_weight"])
+    np.matmul(h.T, dlogits, out=g["out_weight"])
     np.add.reduce(dlogits, axis=0, out=g["out_bias"])
     if spec.kind == MLP:
         dz1 = dlogits @ w["out_weight"].T
