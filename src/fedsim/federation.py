@@ -8,6 +8,7 @@ record metrics. The whole run is a pure function of the config seed.
 from __future__ import annotations
 
 import ctypes
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,13 +24,16 @@ from .data import (
     split_train_test,
     synth_blobs,
 )
-from .errors import FedSimError, InsufficientDataError, RunError, naming
+from .errors import (ConfigError, FedSimError, InsufficientDataError, RunError,
+                     naming)
 from .models import (ACTIVATIONS, MLP, MODEL_KINDS, ModelSpec, cross_accuracy,
                      evaluate, init_params)
 from .tensors import ParameterSet, zip_map
 from .training import ClientUpdate, LocalConfig, train_local
 
 TRAIN_RATIO = 0.9
+# the most float64 values a NumPy array can address
+MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -97,22 +101,36 @@ def client_seed(base_seed: int, round_num: int, cid: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _check_size(values: int, what: str) -> None:
+    """values, a Python int, must fit in one NumPy float64 array."""
+    if values > MAX_VALUES:
+        raise ConfigError(f"{what} hold {values} values, more than NumPy can "
+                          f"address ({MAX_VALUES})")
+
+
 def load_source(cfg: FederationConfig) -> Dataset:
     if cfg.data_source == "idx":
         return load_idx(cfg.idx_images, cfg.idx_labels)
+    _check_size(cfg.synth_classes * cfg.synth_per_class * cfg.synth_dim,
+                "the synthetic features (synth_classes x synth_per_class x "
+                "synth_dim)")
     return synth_blobs(cfg.synth_classes, cfg.synth_per_class, cfg.synth_dim,
                        cfg.synth_spread, cfg.seed)
 
 
 def build_model_spec(cfg: FederationConfig, data: Dataset) -> ModelSpec:
     """Input and class dims come from the data; the rest from config."""
-    return ModelSpec(
+    spec = ModelSpec(
         kind=cfg.model_kind,
         input_dim=data.features.shape[1],
         num_classes=data.num_classes,
         hidden_dim=cfg.hidden_dim if cfg.model_kind == MLP else 0,
         activation=cfg.activation,
     )
+    _check_size(sum(math.prod(shape) for _, shape in spec.layer_shapes()),
+                f"the layers of model_kind {spec.kind!r} with hidden_dim "
+                f"{spec.hidden_dim}")
+    return spec
 
 
 def build_partition(cfg: FederationConfig, data: Dataset):

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,10 @@ def assert_one_line_error(capsys, prefix):
 
 def test_config_error_exit_code(tmp_path, capsys):
     cases = [("no_such_key", 1), ("seed", -1), ("lr", float("nan")),
-             ("lr", float("inf")), ("lr", 10 ** 400)]
+             ("lr", float("inf")), ("lr", 10 ** 400),
+             # data or a model larger than NumPy can address
+             ("hidden_dim", 2 ** 62), ("synth_dim", 2 ** 62),
+             ("synth_per_class", 2 ** 62)]
     for key, value in cases:
         cfg_path = write_config(tmp_path, {key: value})
         code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
@@ -71,7 +75,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     Path.mkdir,
     lambda path: path.write_bytes(b'{"rounds": "\xff"}'),
     lambda path: path.write_text("[" * 100_000),
-], ids=["missing", "directory", "not-utf-8", "too-deep"])
+    lambda path: path.write_text("[1, 2]"),
+], ids=["missing", "directory", "not-utf-8", "too-deep", "not-an-object"])
 def test_unreadable_config_is_a_config_error(tmp_path, capsys, make):
     path = tmp_path / "config.json"
     make(path)
@@ -102,11 +107,16 @@ def test_runtime_error_exit_code(tmp_path, capsys):
         write_idx(img, IDX_MAGIC_IMAGES, (40, 0, 5), np.zeros(0))
         write_idx(lbl, IDX_MAGIC_LABELS, (40,), np.arange(40) % 2)
 
+    def images_cut_in_their_header():  # one of three dimensions present
+        img.write_bytes(struct.pack(">II", IDX_MAGIC_IMAGES, 40))
+        write_idx(lbl, IDX_MAGIC_LABELS, (40,), np.arange(40) % 2)
+
     cases = [(idx_pair, empty_files), ({"data_source": "idx"}, lambda: None),
              (dict(idx_pair, idx_images=str(tmp_path / "nothere")),
               lambda: None),
              (idx_pair, one_class_labels), (idx_pair, images_beyond_int64),
-             (idx_pair, images_without_pixels)]
+             (idx_pair, images_without_pixels),
+             (idx_pair, images_cut_in_their_header)]
     for doc, make_files in cases:
         make_files()
         cfg_path = write_config(tmp_path, doc)
@@ -157,12 +167,12 @@ def test_a_shard_too_small_to_hold_out_names_its_client(tmp_path, capsys):
 
 
 def test_a_run_too_large_for_memory_is_a_runtime_error(tmp_path, capsys):
-    # a 2 EiB hidden layer exceeds any address space: the allocation fails
-    # at once and touches no memory
-    cfg_path = write_config(tmp_path, {"hidden_dim": 2**58, "rounds": 1})
+    # a 128 PiB hidden bias is addressable but exceeds any memory: the
+    # allocation fails at once and touches none
+    cfg_path = write_config(tmp_path, {"hidden_dim": 2**54, "rounds": 1})
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert_one_line_error(capsys, "error: out of memory: Unable to allocate "
-                                  "2.00 EiB")
+                                  "128. PiB")
 
 
 @pytest.mark.parametrize("name,content,out", [
@@ -170,11 +180,12 @@ def test_a_run_too_large_for_memory_is_a_runtime_error(tmp_path, capsys):
     ("metrics.jsonl", b"[1, 2]\n", None),
     ("metrics.jsonl", b"\xff\n", None),
     ("metrics.jsonl", b"[" * 100_000 + b"\n", None),
+    ("metrics.jsonl", b"", None),
     ("manifest.json", b"[]\n", None),
     ("manifest.json", b"[" * 100_000, None),
     (None, None, "missing/comparison.csv"),
 ], ids=["row-without-test_acc", "row-not-an-object", "metrics-not-utf-8",
-        "metrics-too-deep", "manifest-not-an-object", "manifest-too-deep",
+        "metrics-too-deep", "metrics-empty", "manifest-not-an-object", "manifest-too-deep",
         "out-in-missing-directory"])
 def test_compare_on_a_malformed_run_is_a_runtime_error(tmp_path, capsys, name,
                                                        content, out):
