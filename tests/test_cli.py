@@ -185,8 +185,8 @@ def test_a_run_too_large_for_memory_is_a_runtime_error(tmp_path, capsys):
     ("manifest.json", b"[" * 100_000, None),
     (None, None, "missing/comparison.csv"),
 ], ids=["row-without-test_acc", "row-not-an-object", "metrics-not-utf-8",
-        "metrics-too-deep", "metrics-empty", "manifest-not-an-object", "manifest-too-deep",
-        "out-in-missing-directory"])
+        "metrics-too-deep", "metrics-empty", "manifest-not-an-object",
+        "manifest-too-deep", "out-in-missing-directory"])
 def test_compare_on_a_malformed_run_is_a_runtime_error(tmp_path, capsys, name,
                                                        content, out):
     run_d = tmp_path / "run"

@@ -200,13 +200,12 @@ class TestPartitionLabelSkew:
                     seen = True
         assert seen
 
-    # (data, clients); the second is a train split that keeps classes 0
-    # and 2 of three, one sample each
-    DATA = [(synth_blobs(4, 30, 2, 0.5, 2), 4),
-            (split_train_test(synth_blobs(3, 1, 4, 0.3, 0), 0.9, 0)[0], 2)]
+    # a train split that keeps classes 0 and 2 of three, one sample each
+    CLASS_ABSENT = split_train_test(synth_blobs(3, 1, 4, 0.3, 0), 0.9, 0)[0]
 
     def test_disjoint_and_covering(self):
-        for data, clients in self.DATA:
+        for data, clients in [(synth_blobs(4, 30, 2, 0.5, 2), 4),
+                              (self.CLASS_ABSENT, 2)]:
             for seed in range(10):
                 part = partition_label_skew(data, clients, concentration=0.3,
                                             seed=seed)
@@ -216,7 +215,8 @@ class TestPartitionLabelSkew:
                 assert all(len(s) > 0 for s in part.shards)
 
     def test_deterministic(self):
-        for data, clients in self.DATA:
+        for data, clients in [(synth_blobs(4, 30, 2, 0.5, 2), 3),
+                              (self.CLASS_ABSENT, 2)]:
             a = partition_label_skew(data, clients, 0.5, seed=7)
             b = partition_label_skew(data, clients, 0.5, seed=7)
             for sa, sb in zip(a.shards, b.shards):
