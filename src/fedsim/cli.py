@@ -19,6 +19,7 @@ from .federation import build_partition, load_source, run_federation
 from .reporting import (
     _writing,
     compare_runs,
+    comparison_csv,
     emit_metrics,
     make_manifest,
     parse_config,
@@ -44,23 +45,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_partition_preview(args) -> int:
     cfg = parse_config(args.config)
-    train, _, partition = build_partition(cfg, load_source(cfg))
+    _, shards = build_partition(cfg, load_source(cfg))
     print(f"partition={cfg.partition} clients={cfg.num_clients} "
-          f"train_samples={train.n}")
-    for cid, idx in enumerate(partition.shards):
-        hist = train.subset(idx).class_histogram()
-        print(f"client {cid}: n={len(idx)} classes=" +
-              " ".join(str(int(h)) for h in hist))
+          f"train_samples={sum(shard.n for shard in shards)}")
+    for cid, shard in enumerate(shards):
+        print(f"client {cid}: n={shard.n} classes=" +
+              " ".join(str(int(h)) for h in shard.class_histogram()))
     return 0
 
 
 def _cmd_compare(args) -> int:
     rows = compare_runs(args.runs, args.threshold, args.out)
-    print("strategy,variant,final_test_acc,best_test_acc,rounds_to_threshold")
-    for row in rows:
-        print(f"{row['strategy']},{row['variant']},"
-              f"{row['final_test_acc']:.6f},{row['best_test_acc']:.6f},"
-              f"{row['rounds_to_threshold']}")
+    print(comparison_csv(rows, "{:.6f}".format), end="")
     return 0
 
 

@@ -26,16 +26,25 @@ IDX_MAGIC_IMAGES = 0x00000803
 
 
 @dataclass(frozen=True)
-class Dataset:
+class Batch:
+    """Labelled rows: at least one feature row, one label per row."""
+
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray    # (n,) int64 class indices
-    num_classes: int
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise EmptyInputError("dataset needs at least one row")
+            raise EmptyInputError("need at least one row of 2-D features")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with feature rows")
+
+
+@dataclass(frozen=True)
+class Dataset(Batch):
+    num_classes: int
+
+    def __post_init__(self):
+        super().__post_init__()
         if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
             raise ValueError("label outside [0, num_classes)")
 
@@ -168,14 +177,16 @@ def split_train_test(data: Dataset, ratio: float, seed: int) -> tuple[Dataset, D
     return data.subset(perm[:n_train]), data.subset(perm[n_train:])
 
 
-def partition_iid(train: Dataset, num_clients: int, seed: int) -> Partition:
-    """Global shuffle then round-robin; shard sizes differ by at most 1."""
+def _check_clients(train: Dataset, num_clients: int) -> None:
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
     if train.n < num_clients:
-        raise InsufficientDataError(
-            f"{train.n} samples for {num_clients} clients"
-        )
+        raise InsufficientDataError(f"{train.n} samples for {num_clients} clients")
+
+
+def partition_iid(train: Dataset, num_clients: int, seed: int) -> Partition:
+    """Global shuffle then round-robin; shard sizes differ by at most 1."""
+    _check_clients(train, num_clients)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(train.n)
     shards = [np.sort(perm[c::num_clients]) for c in range(num_clients)]
@@ -186,14 +197,9 @@ def partition_label_skew(train: Dataset, num_clients: int, concentration: float,
                          seed: int) -> Partition:
     """Dirichlet label skew: each class is split among clients by
     proportions drawn from a symmetric Dirichlet(concentration)."""
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
+    _check_clients(train, num_clients)
     if concentration <= 0:
         raise ValueError("concentration must be > 0")
-    if train.n < num_clients:
-        raise InsufficientDataError(
-            f"{train.n} samples for {num_clients} clients"
-        )
     rng = np.random.default_rng(seed)
     shards: list[list[int]] = [[] for _ in range(num_clients)]
     for k in range(train.num_classes):

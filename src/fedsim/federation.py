@@ -134,15 +134,14 @@ def build_model_spec(cfg: FederationConfig, data: Dataset) -> ModelSpec:
 
 
 def build_partition(cfg: FederationConfig, data: Dataset):
-    """The seeded train/test split of data, then the client partition of
-    its train side: (train, test, partition)."""
+    """The seeded test split of data and the client shards of its train side."""
     train, test = split_train_test(data, TRAIN_RATIO, cfg.seed)
     if cfg.partition == "iid":
         partition = partition_iid(train, cfg.num_clients, cfg.seed)
     else:
         partition = partition_label_skew(train, cfg.num_clients,
                                          cfg.concentration, cfg.seed)
-    return train, test, partition
+    return test, [train.subset(idx) for idx in partition.shards]
 
 
 def train_round(params: ParameterSet, spec: ModelSpec, shards: list[Dataset],
@@ -179,8 +178,7 @@ def run_federation(cfg: FederationConfig,
     keep_freed_arrays_in_heap()
     if data is None:
         data = load_source(cfg)
-    train, test, partition = build_partition(cfg, data)
-    shards = [train.subset(idx) for idx in partition.shards]
+    test, shards = build_partition(cfg, data)
     spec = build_model_spec(cfg, data)
     params = init_params(spec, cfg.seed)
     state = agg.initial_state(params)

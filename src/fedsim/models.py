@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Batch
 from .errors import EmptyInputError, NonFiniteError
 from .tensors import ParameterSet
 
@@ -52,18 +53,6 @@ class ModelSpec:
                    ("out_weight", (fan_in, self.num_classes))]
         assert layers == sorted(layers)
         return layers
-
-
-@dataclass(frozen=True)
-class Batch:
-    features: np.ndarray  # (batch_size, input_dim)
-    labels: np.ndarray    # (batch_size,) class indices
-
-    def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("features must be a non-empty 2-D matrix")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must align with feature rows")
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParameterSet:

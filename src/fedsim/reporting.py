@@ -198,11 +198,14 @@ def compare_runs(dirs: list, threshold: float, out_path=None) -> list[dict]:
             "rounds_to_threshold": reached[0] if reached else "never",
         })
     if out_path is not None:
-        text = "strategy,variant,final_test_acc,best_test_acc,rounds_to_threshold\n"
-        text += "".join(f"{row['strategy']},{row['variant']},"
-                        f"{_fmt(row['final_test_acc'])},"
-                        f"{_fmt(row['best_test_acc'])},"
-                        f"{row['rounds_to_threshold']}\n" for row in rows)
         with _writing(out_path):
-            Path(out_path).write_text(text, encoding="utf-8")
+            Path(out_path).write_text(comparison_csv(rows), encoding="utf-8")
     return rows
+
+
+def comparison_csv(rows: list[dict], fmt=_fmt) -> str:
+    """compare_runs' rows as CSV text, each accuracy written by fmt."""
+    return ("strategy,variant,final_test_acc,best_test_acc,rounds_to_threshold\n"
+            + "".join(f"{row['strategy']},{row['variant']},"
+                      f"{fmt(row['final_test_acc'])},{fmt(row['best_test_acc'])},"
+                      f"{row['rounds_to_threshold']}\n" for row in rows))

@@ -160,8 +160,7 @@ class TestTrainRound:
         cfg = small_cfg(num_clients=4, partition="label_skew", concentration=0.3,
                         model_kind="mlp", hidden_dim=5, synth_per_class=60)
         data = federation.load_source(cfg)
-        train, _, partition = build_partition(cfg, data)
-        shards = [train.subset(idx) for idx in partition.shards]
+        _, shards = build_partition(cfg, data)
         assert len({s.n for s in shards}) > 1
         spec = build_model_spec(cfg, data)
         params = init_params(spec, cfg.seed)
@@ -315,10 +314,10 @@ class TestBoostingInputs:
 
         data = synth_blobs(cfg.synth_classes, cfg.synth_per_class,
                            cfg.synth_dim, cfg.synth_spread, cfg.seed)
-        train, _, partition = build_partition(cfg, data)
-        val_sets = [split_train_test(train.subset(idx), TRAIN_RATIO,
+        _, shards = build_partition(cfg, data)
+        val_sets = [split_train_test(shard, TRAIN_RATIO,
                                      client_seed(cfg.seed, 0, cid))[1]
-                    for cid, idx in enumerate(partition.shards)]
+                    for cid, shard in enumerate(shards)]
         spec = build_model_spec(cfg, data)
         monkeypatch.setattr(federation.agg, "fedboosting_aggregate", spy)
         run_federation(cfg, data)
