@@ -114,8 +114,13 @@ def load_source(cfg: FederationConfig) -> Dataset:
     _check_size(cfg.synth_classes * cfg.synth_per_class * cfg.synth_dim,
                 "the synthetic features (synth_classes x synth_per_class x "
                 "synth_dim)")
-    return synth_blobs(cfg.synth_classes, cfg.synth_per_class, cfg.synth_dim,
-                       cfg.synth_spread, cfg.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = synth_blobs(cfg.synth_classes, cfg.synth_per_class,
+                           cfg.synth_dim, cfg.synth_spread, cfg.seed)
+    if not np.isfinite(data.features).all():
+        raise ConfigError(f"synth_spread {cfg.synth_spread} makes the synthetic "
+                          "features overflow")
+    return data
 
 
 def build_model_spec(cfg: FederationConfig, data: Dataset) -> ModelSpec:

@@ -57,17 +57,24 @@ def assert_one_line_error(capsys, prefix):
     return err
 
 
+@pytest.mark.filterwarnings("error")
 def test_config_error_exit_code(tmp_path, capsys):
     cases = [("no_such_key", 1), ("seed", -1), ("lr", float("nan")),
              ("lr", float("inf")), ("lr", 10 ** 400),
              # data or a model larger than NumPy can address
              ("hidden_dim", 2 ** 62), ("synth_dim", 2 ** 62),
-             ("synth_per_class", 2 ** 62)]
+             ("synth_per_class", 2 ** 62),
+             # features that overflow to inf
+             ("synth_spread", 1e308)]
     for key, value in cases:
         cfg_path = write_config(tmp_path, {key: value})
         code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 1
         assert key in assert_one_line_error(capsys, "config error: ")
+    # the data is checked before any model is built
+    cfg_path = write_config(tmp_path, {"synth_spread": 1e308})
+    assert main(["partition-preview", "--config", cfg_path]) == 1
+    assert "synth_spread" in assert_one_line_error(capsys, "config error: ")
 
 
 @pytest.mark.parametrize("make", [

@@ -6,6 +6,7 @@ import pytest
 from fedsim.data import (
     IDX_MAGIC_IMAGES,
     IDX_MAGIC_LABELS,
+    Batch,
     Dataset,
     Partition,
     load_idx,
@@ -17,6 +18,7 @@ from fedsim.data import (
     write_idx,
 )
 from fedsim.errors import (
+    EmptyInputError,
     IdxConsistencyError,
     IdxFormatError,
     IdxLengthError,
@@ -133,6 +135,10 @@ class TestSplit:
         data = synth_blobs(1, 1, 2, 0.5, 0)
         with pytest.raises(InsufficientDataError):
             split_train_test(data, 0.5, seed=0)
+        # a ratio of 0 or 1 leaves one side empty whatever the data
+        for ratio in (0.0, 1.0):
+            with pytest.raises(ValueError, match="ratio"):
+                split_train_test(synth_blobs(2, 5, 2, 0.5, 0), ratio, seed=0)
 
     def test_split_is_disjoint_union(self):
         data = synth_blobs(3, 20, 2, 0.5, 5)
@@ -179,6 +185,15 @@ class TestPartitionIid:
         data = synth_blobs(2, 1, 2, 0.5, 0)
         with pytest.raises(InsufficientDataError):
             partition_iid(data, 5, seed=0)
+        # label skew makes the same client checks, and checks concentration
+        with pytest.raises(InsufficientDataError):
+            partition_label_skew(data, 5, 0.5, seed=0)
+        for call in (lambda: partition_iid(data, 0, seed=0),
+                     lambda: partition_label_skew(data, 0, 0.5, seed=0)):
+            with pytest.raises(ValueError, match="num_clients"):
+                call()
+        with pytest.raises(ValueError, match="concentration"):
+            partition_label_skew(data, 2, 0.0, seed=0)
 
 
 class TestPartitionLabelSkew:
@@ -240,3 +255,9 @@ class TestPartitionInvariants:
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 3)
+    # the shape checks a Dataset shares with a Batch
+    for make in (Batch, lambda x, y: Dataset(x, y, 3)):
+        with pytest.raises(ValueError, match="align"):
+            make(np.zeros((2, 2)), np.array([0, 1, 2]))
+        with pytest.raises(EmptyInputError):
+            make(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))

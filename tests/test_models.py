@@ -71,6 +71,11 @@ class TestInit:
             ModelSpec("softmax_regression", input_dim=4, num_classes=1)
         with pytest.raises(ValueError):
             ModelSpec("cnn", input_dim=4, num_classes=3)
+        with pytest.raises(ValueError, match="input_dim"):
+            ModelSpec("softmax_regression", input_dim=0, num_classes=3)
+        with pytest.raises(ValueError, match="activation"):
+            ModelSpec("mlp", input_dim=4, num_classes=3, hidden_dim=2,
+                      activation="tanh")
 
 
 class TestLossAndGrad:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fedsim.cli import main
 from fedsim.errors import ConfigError, FedSimError
 from fedsim.federation import RoundRecord
 from fedsim.reporting import (
@@ -33,6 +34,30 @@ def records(n=3):
                     per_client_train_loss=[2.0 / r, 2.1 / r], wall_ms=5)
         for r in range(1, n + 1)
     ]
+
+
+def fuzz_cases():
+    """Seeded single-key config values: (key, value) for each config key's
+    default, wrong and odd types, its type's edge values and random draws."""
+    rng = random.Random(0)
+    tiny = math.nextafter(0.0, 1.0)
+    edges = {
+        "int": [-1, 0, 1, 2, 3, 10 ** 400],
+        "float": [0.0, -0.0, tiny, -tiny, 1.0, math.nextafter(1.0, 0.0),
+                  -1.0, 1e308, 10 ** 400, 0, 1],
+        "str": ["", "mlp", "softmax_regression", "relu", "sigmoid",
+                "tanh", "ewwa", "fedboosting", "yogi", "iid",
+                "label_skew", "idx", "synth", "bogus"],
+    }
+    odd = [True, False, None, [], {}, float("nan"), float("inf"),
+           float("-inf")]
+    for key, (_, f) in CONFIG_KEYS.items():
+        wrong = 1.5 if f.type == "str" else "1"
+        seeded = ([rng.randint(-5, 100) for _ in range(4)]
+                  + [rng.uniform(-2.0, 2.0) for _ in range(4)]
+                  + rng.sample(edges["str"], 3))
+        for value in [f.default, wrong, *odd, *edges[f.type], *seeded]:
+            yield key, value
 
 
 def emit(tmp_path, recs=None, threshold_dir="run"):
@@ -98,30 +123,42 @@ class TestParseConfig:
             assert config_hash(config_from_dict(doc)) == digest
 
     def test_seeded_fuzz_accepts_or_names_the_key(self):
-        rng = random.Random(0)
-        tiny = math.nextafter(0.0, 1.0)
-        edges = {
-            "int": [-1, 0, 1, 2, 3, 10 ** 400],
-            "float": [0.0, -0.0, tiny, -tiny, 1.0, math.nextafter(1.0, 0.0),
-                      -1.0, 1e308, 10 ** 400, 0, 1],
-            "str": ["", "mlp", "softmax_regression", "relu", "sigmoid",
-                    "tanh", "ewwa", "fedboosting", "yogi", "iid",
-                    "label_skew", "idx", "synth", "bogus"],
-        }
-        odd = [True, False, None, [], {}, float("nan"), float("inf"),
-               float("-inf")]
-        for key, (_, f) in CONFIG_KEYS.items():
-            wrong = 1.5 if f.type == "str" else "1"
-            seeded = ([rng.randint(-5, 100) for _ in range(4)]
-                      + [rng.uniform(-2.0, 2.0) for _ in range(4)]
-                      + rng.sample(edges["str"], 3))
-            for value in [f.default, wrong, *odd, *edges[f.type], *seeded]:
+        for key, value in fuzz_cases():
+            try:
+                cfg = config_from_dict({key: value})
+            except ConfigError as exc:
+                assert key in str(exc), (key, value, str(exc))
+            else:
+                assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.filterwarnings("error")
+    def test_seeded_fuzz_configs_run_or_fail_in_one_line(self, tmp_path, capsys):
+        """Every fuzz config the parser accepts goes through `run` and
+        `partition-preview`: each exits 0, 1 or 2, no exception or warning
+        escapes, and a failure prints one stderr line."""
+        path = tmp_path / "config.json"
+        for key, value in fuzz_cases():
+            # Two rounds keep the test fast. A drawn rounds or local_epochs
+            # above 2 only lengthens the run (rounds 10**400 is accepted and
+            # would run until stopped), so those values are skipped.
+            long_run = key in ("rounds", "local_epochs")
+            doc = {key: value} if long_run else {key: value, "rounds": 2}
+            try:
+                config_from_dict(doc)
+            except ConfigError:
+                continue
+            if long_run and value > 2:
+                continue
+            path.write_text(json.dumps(doc))
+            for argv in (["run", "--out", str(tmp_path / "runs")],
+                         ["partition-preview"]):
                 try:
-                    cfg = config_from_dict({key: value})
-                except ConfigError as exc:
-                    assert key in str(exc), (key, value, str(exc))
-                else:
-                    assert config_from_dict(config_to_dict(cfg)) == cfg
+                    code = main([*argv, "--config", str(path)])
+                except Exception as exc:
+                    pytest.fail(f"{argv[0]} on {doc}: {exc!r} escaped main")
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (argv[0], doc, code)
+                assert err.count("\n") == (code != 0), (argv[0], doc, err)
 
 
 class TestEmitMetrics:

@@ -34,6 +34,10 @@ class TestParameterSet:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             ParameterSet([("w", (2, 3), np.zeros(5))])
+        with pytest.raises(ValueError, match="non-positive dim in shape"):
+            ParameterSet([("w", (2, 0), np.zeros(0))])
+        with pytest.raises(ValueError, match="size 3 != 2"):
+            make([1.0, 2.0]).with_flat(np.zeros(3))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
