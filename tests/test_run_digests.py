@@ -3,10 +3,10 @@
 Each config runs through run_federation and emit_metrics, the path of
 `fedsim run`, and its metrics.jsonl must hash to its value in PINS, so a
 change that moves one bit of any round's output fails here. Together the
-configs cover all six strategies, fedopt's three variants, both model
-kinds, both activations, one and two local epochs, and IID and
-label-skewed partitions whose shards differ in size (so that fedadp's
-weights differ from fedavg's).
+configs cover all six strategies, the three variants of fedopt and of
+ewwa, both model kinds, both activations, one and two local epochs, and
+IID and label-skewed partitions whose shards differ in size (so that
+fedadp's weights differ from fedavg's).
 
 The pins hold for the NumPy and BLAS named in PINNED_STACK; they do not
 depend on the BLAS thread count. To print fresh pins for the running stack:
@@ -43,6 +43,8 @@ CONFIGS = {
     "ewwa-iid": {"strategy": "ewwa"},
     "ewwa-skew-sigmoid": {**SKEW, "strategy": "ewwa", "activation": "sigmoid"},
     "ewwa-softmax": {"strategy": "ewwa", "model_kind": "softmax_regression"},
+    "ewwa-adagrad": {"strategy": "ewwa", "variant": "adagrad"},
+    "ewwa-yogi-skew": {**SKEW, "strategy": "ewwa", "variant": "yogi"},
     "fedboosting-skew": {**SKEW, "concentration": 1.0,
                          "strategy": "fedboosting"},
     "fedboosting-softmax": {"strategy": "fedboosting",
@@ -73,6 +75,10 @@ PINS = {
         "a795986f487221d80bec0ae090ca318ee8f6cf18fa888569f08b706f4feab803",
     "ewwa-softmax":
         "b1ef113175eb0e6e9f0d8a988eb6a2be09b0b02babb71dce0428a744161f3972",
+    "ewwa-adagrad":
+        "0b64525f1d0bb4b111aaed648e405bc2e1a5a11ead5da729990ed0c171da016c",
+    "ewwa-yogi-skew":
+        "3501e869045075b29dd5e34b104a618456a0b224f499bb113b5c62adec8f5e0a",
     "fedboosting-skew":
         "b064c441007daddb30edfbb56d5c7f86d2116385470e46e644ae81648ed88811",
     "fedboosting-softmax":

@@ -298,6 +298,24 @@ def test_divergence_names_the_client_and_the_phase():
     assert str(err.value).endswith("': non-finite values")
 
 
+def _layer_named_by_divergence(monkeypatch, fill_gradient, cfg):
+    """The message train_local raises on softmax regression when each
+    step's gradient is written by fill_gradient(layer views, step)."""
+    steps = []
+
+    def stub(w, spec, batch, g):
+        steps.append(None)
+        fill_gradient(g, len(steps))
+        return 0.0, g
+
+    monkeypatch.setattr(fedsim.training, "loss_and_grad", stub)
+    spec = ModelSpec("softmax_regression", input_dim=4, num_classes=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError) as err:
+            train_local(init_params(spec, 0), spec, make_shard(), cfg, seed=0)
+    return str(err.value)
+
+
 def test_each_step_checks_gradient_then_velocity_then_weights(monkeypatch):
     """A gradient that is NaN only in its last layer, with a step that
     overflows every weight: the gradient's layer is the one named."""
@@ -317,3 +335,27 @@ def test_each_step_checks_gradient_then_velocity_then_weights(monkeypatch):
                         LocalConfig(lr=1e308, momentum=0.0), seed=0)
     assert str(err.value) == ("client 0: local training: "
                               "layer 'out_weight': non-finite values")
+
+    # The velocity before the weights: on step 2, u = 0.9 * 1e308 + 1e308
+    # overflows in out_weight only, while w overflows first in out_bias
+    # (w - 1.4e308 after w - 1e308); the velocity's layer is the one named.
+    def velocity_overflows_in_last_layer(g, step):
+        g["out_weight"][...] = 1e308
+        g["out_bias"][...] = 1e308 if step == 1 else 0.5e308
+
+    message = _layer_named_by_divergence(
+        monkeypatch, velocity_overflows_in_last_layer,
+        LocalConfig(lr=1.0, momentum=0.9, batch_size=12))  # 24 rows: 2 steps
+    assert message == ("client 0: local training: "
+                       "layer 'out_weight': non-finite values")
+
+    # Finite gradient and velocity, a step that overflows every weight:
+    # the weights' first layer is the one named.
+    def ten_everywhere(g, step):
+        for view in g.values():
+            view[...] = 10.0
+
+    message = _layer_named_by_divergence(
+        monkeypatch, ten_everywhere, LocalConfig(lr=1e308, momentum=0.0))
+    assert message == ("client 0: local training: "
+                       "layer 'out_bias': non-finite values")
