@@ -104,14 +104,36 @@ def _weighted_sum(updates: list[ClientUpdate], g: np.ndarray,
     return updates[0].pseudo_gradient.with_flat(g.sum(axis=0))
 
 
+def _first_moment(m_prev: np.ndarray, g: np.ndarray,
+                  beta1: float) -> np.ndarray:
+    """beta1 * m_prev + (1 - beta1) * g, built in one new array like g."""
+    m = np.multiply(g, 1 - beta1)
+    m += beta1 * m_prev
+    return m
+
+
 def _second_moment(variant: str, v_prev: np.ndarray, g: np.ndarray,
                    beta2: float) -> np.ndarray:
-    if variant == "adam":
-        return beta2 * v_prev + (1 - beta2) * g * g
-    if variant == "adagrad":
-        return v_prev + g * g
-    # yogi: additive form keeps v >= 0 from zero init; sign(0) = 0
-    return v_prev - (1 - beta2) * g * g * np.sign(v_prev - g * g)
+    """The variant's second moment, built in one new array like g (yogi
+    also needs one for its sign term). Each keeps the operation order of
+    its formula, up to the order of the operands of a + or a *."""
+    if variant == "adagrad":  # v_prev + g * g
+        v = np.multiply(g, g)
+        v += v_prev
+        return v
+    v = np.multiply(g, 1 - beta2)
+    v *= g
+    if variant == "adam":  # beta2 * v_prev + (1 - beta2) * g * g
+        v += beta2 * v_prev
+        return v
+    # yogi: v_prev - (1 - beta2) * g * g * sign(v_prev - g * g); the
+    # additive form keeps v >= 0 from zero init; sign(0) = 0
+    sign = np.multiply(g, g)
+    np.subtract(v_prev, sign, out=sign)
+    np.sign(sign, out=sign)
+    v *= sign
+    np.subtract(v_prev, v, out=v)
+    return v
 
 
 def fedavg_aggregate(updates: list[ClientUpdate]) -> ParameterSet:
@@ -133,7 +155,7 @@ def _mean_moments(updates: list[ClientUpdate], state: AggregatorState,
     """Round number, then both moments advanced by the uniform mean gradient."""
     _, g = _stacked(updates, state)
     g_mean = g.sum(axis=0) * (1.0 / len(g))
-    m = cfg.beta1 * state.m.to_flat() + (1 - cfg.beta1) * g_mean
+    m = _first_moment(state.m.to_flat(), g_mean, cfg.beta1)
     v = _second_moment(variant, state.v.to_flat(), g_mean, cfg.beta2)
     return state.round + 1, m, v
 
@@ -175,7 +197,7 @@ def ewwa_aggregate(updates: list[ClientUpdate], state: AggregatorState,
     r = state.round + 1
     bc1 = 1.0 - cfg.beta1 ** r
     bc2 = 1.0 - cfg.beta2 ** r
-    m = cfg.beta1 * state.m.to_flat() + (1 - cfg.beta1) * g
+    m = _first_moment(state.m.to_flat(), g, cfg.beta1)
     v = _second_moment(cfg.variant, state.v.to_flat(), g, cfg.beta2)
     like = state.m.with_flat
     new_state = replace(state, round=r, m=like(m.sum(axis=0) * (1.0 / len(g))),

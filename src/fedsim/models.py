@@ -69,15 +69,16 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterSet:
     return ParameterSet(layers)
 
 
-def _softmax_parts(logits: np.ndarray, y: np.ndarray):
+def _softmax_parts(logits: np.ndarray, y: np.ndarray, rows: np.ndarray):
     """exp of the row-max-shifted logits, its row sums, and each row's
     log-softmax at its label; one exp serves the loss and the softmax.
+    rows is np.arange of the row count.
 
     The log-softmax is taken from the shifted logits directly, which keeps
     it finite where the softmax itself underflows.
     """
-    e = logits - logits.max(axis=1, keepdims=True)
-    label_z = e[np.arange(y.shape[0]), y]
+    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    label_z = e[rows, y]
     np.exp(e, out=e)
     row_sums = np.add.reduce(e, axis=1, keepdims=True)
     return e, row_sums, label_z - np.log(row_sums[:, 0])
@@ -117,11 +118,12 @@ def _loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
     match it bit for bit.
     """
     n = x.shape[0]
+    rows = np.arange(n)
     logits, z1, h = _forward(w, spec, x)
-    dlogits, row_sums, label_log_probs = _softmax_parts(logits, y)
+    dlogits, row_sums, label_log_probs = _softmax_parts(logits, y, rows)
     loss = _mean_loss(label_log_probs)
     dlogits /= row_sums
-    dlogits[np.arange(n), y] -= 1.0
+    dlogits[rows, y] -= 1.0
     dlogits /= n
     np.matmul(h.T, dlogits, out=g["out_weight"])
     np.add.reduce(dlogits, axis=0, out=g["out_bias"])
@@ -163,7 +165,8 @@ def _block_scores(params: ParameterSet, spec: ModelSpec, data,
     NonFiniteError.
     """
     logits, _, _ = _forward(params.layers(), spec, data.features)
-    log_probs = _softmax_parts(logits, data.labels)[2]
+    log_probs = _softmax_parts(logits, data.labels,
+                               np.arange(data.labels.shape[0]))[2]
     losses = [_mean_loss(log_probs[start:stop])
               for start, stop in zip(bounds[:-1], bounds[1:])]
     if not all(map(np.isfinite, losses)):

@@ -71,17 +71,19 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     """One round of local SGD-with-momentum; velocity starts at zero.
 
     The weights w, velocity u and gradient g live in private writable
-    vectors that every step updates in place. Each step checks g, u and w
-    for NaN or Inf, in that order, as building them as ParameterSets would.
+    vectors that every step updates in place. A step fails on the first of
+    g, u and w, in that order, that holds NaN or Inf, naming its first
+    such layer, as building them as ParameterSets would. Only w is tested
+    unless it fails: u and w were finite after the previous step, momentum
+    lies in [0, 1) and lr > 0, so a NaN or Inf in g makes u non-finite at
+    that index, and one in u makes w non-finite there.
     The update holds the final weights as local_params. Its
     train_accuracy scores them on the shard when it is first read, and
     names the client in a NonFiniteError as training does.
     """
     rng = np.random.default_rng(seed)
     w = global_params.to_flat()
-    u = np.zeros_like(w)
-    g = np.empty_like(w)
-    step = np.empty_like(w)
+    u, g, step = np.zeros(w.size), np.empty(w.size), np.empty(w.size)
     w_views, g_views = global_params.views(w), global_params.views(g)
     last_epoch_losses: list[float] = []
     phase = f"client {client_id}: local training"
@@ -98,13 +100,16 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
                 u += g
                 np.multiply(cfg.lr, u, out=step)
                 w -= step
-                for vec in (g, u, w):
-                    global_params.check_finite(vec)
+                if not np.isfinite(w).all():
+                    for vec in (g, u, w):
+                        global_params.check_finite(vec)
                 epoch_losses.append(loss)
             last_epoch_losses = epoch_losses
         params = global_params.with_flat(w)
-        pseudo_gradient = zip_map(global_params, params,
-                                  lambda w0, w: (w0 - w) * (1.0 / cfg.lr))
+        # (w0 - w) * (1 / lr), computed in the step scratch vector
+        pseudo_gradient = zip_map(
+            global_params, params, lambda w0, w: np.multiply(
+                np.subtract(w0, w, out=step), 1.0 / cfg.lr, out=step))
 
     def train_accuracy() -> float:
         with naming(phase, NonFiniteError):
@@ -114,7 +119,8 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
         client_id=client_id,
         pseudo_gradient=pseudo_gradient,
         num_samples=shard.n,
-        train_loss=float(np.mean(last_epoch_losses)),
+        train_loss=float(np.add.reduce(last_epoch_losses)
+                         / len(last_epoch_losses)),
         train_accuracy=train_accuracy,
         local_params=params,
     )

@@ -3,7 +3,10 @@ import pytest
 
 from fedsim.aggregators import (
     STRATEGIES,
+    VARIANTS,
     AggregatorConfig,
+    _first_moment,
+    _second_moment,
     adaptive_step_size,
     aggregate,
     ewwa_aggregate,
@@ -179,6 +182,39 @@ class TestFedAms:
                 [upd(0, rng.normal(size=15))], state, cfg)
             assert np.all(state.v_max.to_flat() >= prev)
             prev = state.v_max.to_flat()
+
+
+def old_moments(variant, m_prev, v_prev, g, beta1, beta2):
+    """Both moments as the strategies once wrote them, one expression each."""
+    m = beta1 * m_prev + (1 - beta1) * g
+    if variant == "adam":
+        v = beta2 * v_prev + (1 - beta2) * g * g
+    elif variant == "adagrad":
+        v = v_prev + g * g
+    else:
+        v = v_prev - (1 - beta2) * g * g * np.sign(v_prev - g * g)
+    return m, v
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", [(500,), (7, 500)], ids=["P", "C-P"])
+def test_in_place_moments_equal_the_one_expression_forms(variant, shape):
+    """The same bits from a (P,) previous state and a (P,) or (C, P)
+    gradient; the gradient and previous state are left untouched."""
+    rng = np.random.default_rng(5)
+    for beta1, beta2 in [(0.9, 0.999), (0.5, 0.3), (0.0, 0.0)]:
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        m_prev = rng.normal(size=shape[-1])
+        v_prev = rng.random(size=shape[-1]) * 10.0 ** rng.integers(-8, 8, 500)
+        v_prev[:50] = np.reshape(g, (-1, 500))[0, :50] ** 2  # sign(0) for yogi
+        before = g.copy(), m_prev.copy(), v_prev.copy()
+        m_ref, v_ref = old_moments(variant, m_prev, v_prev, g, beta1, beta2)
+        m = _first_moment(m_prev, g, beta1)
+        v = _second_moment(variant, v_prev, g, beta2)
+        assert m.shape == v.shape == shape
+        assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref)
+        for a, b in zip((g, m_prev, v_prev), before):
+            assert np.array_equal(a, b)
 
 
 def scalar_ewwa_oracle(client_grads, variant, cfg, m_prev, v_prev, r):
