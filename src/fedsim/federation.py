@@ -29,7 +29,7 @@ from .errors import (ConfigError, FedSimError, InsufficientDataError, RunError,
 from .models import (ACTIVATIONS, MLP, MODEL_KINDS, ModelSpec, cross_accuracy,
                      evaluate, init_params)
 from .tensors import ParameterSet, zip_map
-from .training import ClientUpdate, LocalConfig, train_local
+from .training import MAX_PASSES, ClientUpdate, LocalConfig, train_local
 
 TRAIN_RATIO = 0.9
 # the most float64 values a NumPy array can address
@@ -62,6 +62,8 @@ class FederationConfig:
                     "synth_dim"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        if self.rounds > MAX_PASSES:
+            raise ValueError(f"rounds must be <= {MAX_PASSES}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model_kind {self.model_kind!r}")
         if self.activation not in ACTIVATIONS:

@@ -16,6 +16,10 @@ from .errors import NonFiniteError, naming
 from .models import Batch, ModelSpec, evaluate, loss_and_grad
 from .tensors import ParameterSet, zip_map
 
+# rounds and local_epochs above this are config errors, not runs that
+# train until they are killed
+MAX_PASSES = 10 ** 6
+
 
 @dataclass(frozen=True)
 class LocalConfig:
@@ -31,6 +35,8 @@ class LocalConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.batch_size < 1 or self.local_epochs < 1:
             raise ValueError("batch_size and local_epochs must be >= 1")
+        if self.local_epochs > MAX_PASSES:
+            raise ValueError(f"local_epochs must be <= {MAX_PASSES}")
 
 
 class _OnFirstRead:

@@ -8,6 +8,7 @@ import pytest
 from fedsim import cli
 from fedsim.cli import main
 from fedsim.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, write_idx
+from fedsim.reporting import config_from_dict
 
 
 def write_config(tmp_path, doc):
@@ -65,16 +66,24 @@ def test_config_error_exit_code(tmp_path, capsys):
              ("hidden_dim", 2 ** 62), ("synth_dim", 2 ** 62),
              ("synth_per_class", 2 ** 62),
              # features that overflow to inf
-             ("synth_spread", 1e308)]
+             ("synth_spread", 1e308),
+             # runs that would train until killed
+             ("rounds", 10 ** 6 + 1), ("rounds", 10 ** 39),
+             ("local_epochs", 10 ** 6 + 1)]
     for key, value in cases:
         cfg_path = write_config(tmp_path, {key: value})
         code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 1
         assert key in assert_one_line_error(capsys, "config error: ")
     # the data is checked before any model is built
-    cfg_path = write_config(tmp_path, {"synth_spread": 1e308})
-    assert main(["partition-preview", "--config", cfg_path]) == 1
-    assert "synth_spread" in assert_one_line_error(capsys, "config error: ")
+    for key, value in [("synth_spread", 1e308), ("rounds", 10 ** 39),
+                       ("local_epochs", 10 ** 6 + 1)]:
+        cfg_path = write_config(tmp_path, {key: value})
+        assert main(["partition-preview", "--config", cfg_path]) == 1
+        assert key in assert_one_line_error(capsys, "config error: ")
+    # the bound itself is a valid run length
+    cfg = config_from_dict({"rounds": 10 ** 6, "local_epochs": 10 ** 6})
+    assert (cfg.rounds, cfg.local.local_epochs) == (10 ** 6, 10 ** 6)
 
 
 @pytest.mark.parametrize("make", [
