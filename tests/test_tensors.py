@@ -39,6 +39,12 @@ class TestParameterSet:
         with pytest.raises(ValueError, match="size 3 != 2"):
             make([1.0, 2.0]).with_flat(np.zeros(3))
 
+    def test_repr_names_each_layer_and_shape_in_order(self):
+        ps = ParameterSet([("bias", (3,), np.zeros(3)),
+                           ("weight", (2, 3), np.ones(6))])
+        assert repr(ps) == "ParameterSet(bias[3], weight[2, 3])"
+        assert repr(ps.with_flat(np.arange(9.0))) == repr(ps)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ParameterSet([("w", (1,), [0.0]), ("w", (1,), [0.0])])
