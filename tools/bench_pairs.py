@@ -23,6 +23,7 @@ change read better. The exit status is 1 if any run failed or reported
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
@@ -46,12 +47,8 @@ def git(*args: str) -> bytes:
 def checkout(rev: str, dest: Path) -> None:
     """The committed tree of rev, extracted into dest."""
     dest.mkdir(parents=True)
-    with tempfile.TemporaryFile() as tar:
-        subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
-                       stdout=tar)
-        tar.seek(0)
-        with tarfile.open(fileobj=tar) as archive:
-            archive.extractall(dest, filter="data")
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as archive:
+        archive.extractall(dest, filter="data")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
