@@ -47,6 +47,9 @@ CONFIGS = {
     "ewwa-yogi-skew": {**SKEW, "strategy": "ewwa", "variant": "yogi"},
     "fedboosting-skew": {**SKEW, "concentration": 1.0,
                          "strategy": "fedboosting"},
+    "fedboosting-skew-sigmoid": {**SKEW, "concentration": 1.0,
+                                 "strategy": "fedboosting",
+                                 "activation": "sigmoid"},
     "fedboosting-softmax": {"strategy": "fedboosting",
                             "model_kind": "softmax_regression"},
 }
@@ -81,6 +84,8 @@ PINS = {
         "3501e869045075b29dd5e34b104a618456a0b224f499bb113b5c62adec8f5e0a",
     "fedboosting-skew":
         "b064c441007daddb30edfbb56d5c7f86d2116385470e46e644ae81648ed88811",
+    "fedboosting-skew-sigmoid":
+        "7b1c76d3ba0f182d4f75298b6cc421f7c7643c15c8fc877bf5c554817c7bfd1f",
     "fedboosting-softmax":
         "aa6a7c256e472463793acbd48b8e7d35bba31829e7b6d1fa784011fdb8270198",
 }
