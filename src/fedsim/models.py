@@ -91,19 +91,24 @@ def _mean_loss(label_log_probs: np.ndarray) -> float:
 
 
 def _forward(w: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray):
-    """Returns (logits, hidden pre-activation, output-layer input); softmax
-    regression has no hidden layer, so it returns (logits, None, x)."""
-    z1, h = None, x
+    """Returns (logits, output-layer input). The MLP applies its hidden
+    activation in place, to a new pre-activation array that becomes the
+    output-layer input; softmax regression has no hidden layer, so it
+    returns (logits, x)."""
+    h = x
     if spec.kind == MLP:
-        z1 = x @ w["hidden_weight"]
-        z1 += w["hidden_bias"]
+        h = x @ w["hidden_weight"]
+        h += w["hidden_bias"]
         if spec.activation == "relu":
-            h = np.maximum(z1, 0.0)
-        else:
-            h = 1.0 / (1.0 + np.exp(-z1))
+            np.maximum(h, 0.0, out=h)
+        else:  # 1 / (1 + exp(-z)), operation by operation
+            np.negative(h, out=h)
+            np.exp(h, out=h)
+            h += 1.0
+            np.divide(1.0, h, out=h)
     logits = h @ w["out_weight"]
     logits += w["out_bias"]
-    return logits, z1, h
+    return logits, h
 
 
 def _loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
@@ -119,7 +124,7 @@ def _loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
     """
     n = x.shape[0]
     rows = np.arange(n)
-    logits, z1, h = _forward(w, spec, x)
+    logits, h = _forward(w, spec, x)
     dlogits, row_sums, label_log_probs = _softmax_parts(logits, y, rows)
     loss = _mean_loss(label_log_probs)
     dlogits /= row_sums
@@ -130,7 +135,7 @@ def _loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
     if spec.kind == MLP:
         dz1 = dlogits @ w["out_weight"].T
         if spec.activation == "relu":
-            dz1 *= z1 > 0.0
+            dz1 *= h > 0.0  # True exactly where the pre-activation is > 0
         else:
             dz1 *= h
             dz1 *= 1.0 - h
@@ -157,43 +162,57 @@ def loss_and_grad(params, spec: ModelSpec, batch: Batch, grad=None):
 
 
 def _block_scores(params: ParameterSet, spec: ModelSpec, data,
-                  bounds: np.ndarray) -> tuple[list[float], np.ndarray]:
+                  bounds: np.ndarray, loss: bool = True):
     """One forward pass over all rows of data, scored on each row block
     between consecutive bounds: (mean cross-entropy losses, accuracies).
 
     Each accuracy is the exact count/n; a non-finite loss raises
-    NonFiniteError.
+    NonFiniteError. With loss=False the losses come back as None, and are
+    computed only when a bound on the logits cannot rule that error out.
+    If every |logit| <= M, each row's log-softmax at its label lies in
+    [-2M - log K, 0] for K classes, and log K <= 44 for any K NumPy can
+    address; so with M * n <= 1e300 for the n rows, a block's sum of at
+    most n such terms, and its mean, stay far below the float64 maximum.
+    The test reads False for NaN, Inf, and a product that overflows.
     """
-    logits, _, _ = _forward(params.layers(), spec, data.features)
-    log_probs = _softmax_parts(logits, data.labels,
-                               np.arange(data.labels.shape[0]))[2]
-    losses = [_mean_loss(log_probs[start:stop])
-              for start, stop in zip(bounds[:-1], bounds[1:])]
-    if not all(map(np.isfinite, losses)):
-        raise NonFiniteError("evaluate: non-finite loss")
+    logits, _ = _forward(params.layers(), spec, data.features)
+    n = logits.shape[0]
+    losses = None
+    if loss or not np.maximum.reduce(np.abs(logits), axis=None) * n <= 1e300:
+        log_probs = _softmax_parts(logits, data.labels, np.arange(n))[2]
+        losses = [_mean_loss(log_probs[start:stop])
+                  for start, stop in zip(bounds[:-1], bounds[1:])]
+        if not all(map(np.isfinite, losses)):
+            raise NonFiniteError("evaluate: non-finite loss")
     correct = np.argmax(logits, axis=1) == data.labels
     counts = np.add.reduceat(correct, bounds[:-1], dtype=np.int64)
-    return losses, counts / np.diff(bounds)
+    return losses if loss else None, counts / np.diff(bounds)
 
 
-def evaluate(params: ParameterSet, spec: ModelSpec, data) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy loss) over a whole dataset."""
+def evaluate(params: ParameterSet, spec: ModelSpec, data, *,
+             loss: bool = True) -> tuple[float, float | None]:
+    """(accuracy, mean cross-entropy loss) over a whole dataset; with
+    loss=False, (accuracy, None), raising NonFiniteError as evaluate does."""
     n = data.features.shape[0]
     if n < 1:
         raise EmptyInputError("evaluate on empty dataset")
-    (loss,), (accuracy,) = _block_scores(params, spec, data, np.array([0, n]))
-    return float(accuracy), loss
+    losses, (accuracy,) = _block_scores(params, spec, data, np.array([0, n]),
+                                        loss)
+    return float(accuracy), losses[0] if loss else None
 
 
 def cross_accuracy(models, spec: ModelSpec, data, sizes) -> np.ndarray:
     """The C x C matrix of each model's accuracy on each of C datasets.
 
     data holds the datasets back to back, dataset j being the next
-    sizes[j] rows; every size must be at least 1. Entry [i, j] is the
-    exact count/n that evaluate returns for model i on dataset j alone,
-    and the call raises NonFiniteError wherever evaluate would. Each model
-    is one forward pass over all rows, so `models` may be a generator.
+    sizes[j] rows; every size must be at least 1. Each model is one forward
+    pass over all rows, so `models` may be a generator. Entry [i, j] is the
+    exact count/n of dataset j's rows whose argmax in model i's pass is
+    their label. It need not equal evaluate on dataset j alone: BLAS may
+    round a row's logits differently with other rows beside it. The call
+    raises NonFiniteError if any dataset's mean cross-entropy in that pass
+    is not finite.
     """
     bounds = np.cumsum([0, *sizes])
-    return np.stack([_block_scores(params, spec, data, bounds)[1]
+    return np.stack([_block_scores(params, spec, data, bounds, False)[1]
                      for params in models])

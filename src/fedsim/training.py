@@ -119,7 +119,7 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
 
     def train_accuracy() -> float:
         with naming(phase, NonFiniteError):
-            return evaluate(params, spec, shard)[0]
+            return evaluate(params, spec, shard, loss=False)[0]
 
     return ClientUpdate(
         client_id=client_id,

@@ -201,9 +201,9 @@ class TestTrainAccuracyReads:
         cfg = small_cfg(rounds=2, aggregator=AggregatorConfig(strategy=strategy))
         calls = []
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls.append(args)
-            return evaluate(*args)
+            return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(training, "evaluate", spy)
         run_federation(cfg)
@@ -277,13 +277,41 @@ class TestBoostingInputs:
                           spec.num_classes)
         return models, val_sets, val_all
 
-    @pytest.mark.parametrize("spec", [
+    SPECS = [
         ModelSpec("mlp", input_dim=32, num_classes=10, hidden_dim=64),
         ModelSpec("mlp", input_dim=6, num_classes=4, hidden_dim=5,
                   activation="sigmoid"),
         ModelSpec("softmax_regression", input_dim=6, num_classes=4),
-    ], ids=lambda s: f"{s.kind}-{s.activation}")
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS,
+                             ids=lambda s: f"{s.kind}-{s.activation}")
+    def test_entries_are_block_argmax_counts_of_one_pass(self, spec):
+        """Entry [i, j] is the share of dataset j's rows whose argmax, in
+        one forward pass of model i over all the rows back to back, is
+        their label."""
+        models, _, val_all = self.inputs(spec, [0.0, 0.05, 0.25, 1.0])
+        bounds = np.cumsum([0, *self.SIZES])
+        expected = []
+        for model in models:
+            w, h = model.layers(), val_all.features
+            if spec.kind == "mlp":
+                z = h @ w["hidden_weight"] + w["hidden_bias"]
+                h = (np.maximum(z, 0.0) if spec.activation == "relu"
+                     else 1.0 / (1.0 + np.exp(-z)))
+            logits = h @ w["out_weight"] + w["out_bias"]
+            correct = np.argmax(logits, axis=1) == val_all.labels
+            expected.append([correct[a:b].sum() / (b - a)
+                             for a, b in zip(bounds[:-1], bounds[1:])])
+        cross_val = cross_accuracy(iter(models), spec, val_all, self.SIZES)
+        assert np.array_equal(cross_val, np.array(expected))
+
+    @pytest.mark.parametrize("spec", SPECS,
+                             ids=lambda s: f"{s.kind}-{s.activation}")
     def test_matrix_equals_the_per_pair_evaluate_loop(self, spec):
+        """Holds for these inputs. BLAS does not promise it in general: a
+        block's logits may differ in their last bits from those of the
+        block scored alone, so an argmax at a near tie could differ."""
         models, val_sets, val_all = self.inputs(spec, [0.0, 0.05, 0.25, 1.0])
         cross_val = cross_accuracy(iter(models), spec, val_all, self.SIZES)
         expected = np.array([[evaluate(model, spec, val)[0] for val in val_sets]

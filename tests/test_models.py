@@ -8,6 +8,7 @@ from fedsim.errors import EmptyInputError, NonFiniteError
 from fedsim.models import (
     Batch,
     ModelSpec,
+    cross_accuracy,
     evaluate,
     init_params,
     loss_and_grad,
@@ -213,3 +214,68 @@ class TestEvaluate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="non-finite loss"):
                 evaluate(huge, spec, data)
+
+
+class TestAccuracyOnly:
+    """evaluate(..., loss=False) and cross_accuracy skip the loss when the
+    logits bound it, and compute it to raise where they do not."""
+
+    SPEC = ModelSpec("softmax_regression", input_dim=2, num_classes=3)
+
+    def fixed_logits(self, bias, labels, features=None):
+        """Zero weights, so every row's logits are bias exactly."""
+        params = init_params(self.SPEC, 0)
+        flat = np.zeros_like(params.to_flat())
+        flat[:3] = bias  # out_bias comes first
+        labels = np.asarray(labels)
+        if features is None:
+            features = np.ones((labels.size, 2))
+        return (params.with_flat(flat),
+                Dataset(features, labels, self.SPEC.num_classes))
+
+    @pytest.mark.parametrize("spec", SPECS,
+                             ids=lambda s: f"{s.kind}-{s.activation}")
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 30.0, 1e3])
+    def test_same_accuracy_as_evaluate(self, spec, scale):
+        rng = np.random.default_rng(8)
+        params = init_params(spec, 3)
+        params = params.with_flat(params.to_flat() * scale)
+        data = Dataset(rng.normal(size=(50, spec.input_dim)),
+                       rng.integers(0, spec.num_classes, size=50),
+                       spec.num_classes)
+        with np.errstate(over="ignore"):
+            accuracy, _ = evaluate(params, spec, data)
+            assert evaluate(params, spec, data, loss=False) == (accuracy, None)
+
+    def test_finite_logits_whose_loss_overflows_raise(self):
+        """Label logit -1e308 under a row max of 1e308: the label's
+        log-softmax is -inf."""
+        params, data = self.fixed_logits([1e308, -1e308, 0.0], [1, 1, 1, 1])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError,
+                               match="evaluate: non-finite loss"):
+                evaluate(params, self.SPEC, data, loss=False)
+            with pytest.raises(NonFiniteError,
+                               match="evaluate: non-finite loss"):
+                cross_accuracy([params], self.SPEC, data, [1, 3])
+
+    def test_logits_over_the_bound_with_a_finite_loss_score(self):
+        """|logit| * rows = 4e301 > 1e300, so the loss is computed: it is
+        log 3, and the ties break to class 0."""
+        params, data = self.fixed_logits([1e301] * 3, [0, 1, 2, 0])
+        assert evaluate(params, self.SPEC, data)[0] == 0.5
+        assert evaluate(params, self.SPEC, data, loss=False) == (0.5, None)
+        assert np.array_equal(
+            cross_accuracy([params], self.SPEC, data, [1, 3]),
+            [[1.0, 1 / 3]])
+
+    def test_nan_logits_raise(self):
+        features = np.array([[1.0, np.nan], [0.0, 1.0]])
+        params, data = self.fixed_logits([0.0, 1.0, 2.0], [0, 2], features)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteError,
+                               match="evaluate: non-finite loss"):
+                evaluate(params, self.SPEC, data, loss=False)
+            with pytest.raises(NonFiniteError,
+                               match="evaluate: non-finite loss"):
+                cross_accuracy([params], self.SPEC, data, [1, 1])

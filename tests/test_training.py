@@ -99,9 +99,9 @@ class TestTrainAccuracyOnFirstRead:
     def count_evaluates(self, monkeypatch):
         calls = []
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls.append(args)
-            return evaluate(*args)
+            return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(fedsim.training, "evaluate", spy)
         return calls
