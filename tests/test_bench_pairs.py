@@ -64,3 +64,42 @@ def test_quartiles_direction_and_failed_runs():
     assert ms["change"]["median"] == 18.0
     assert ms["change_better_in_pairs"] == "2/3"
     assert entry["final_test_acc"]["change_better_in_pairs"] == "2/3"
+
+
+@pytest.mark.parametrize("parent,change,better,expected", [
+    # 10/10 pairs, the medians 6 apart against a parent spread of 4.5
+    (range(20, 30), range(14, 24), "lower", "gain"),
+    # 9/10 pairs still counts
+    (range(20, 30), [*range(14, 23), 30], "lower", "gain"),
+    # 8/10 pairs does not; the change is no worse
+    (range(20, 30), [*range(14, 22), 30, 31], "lower", "no worse"),
+    # every pair, but the gap of 0.1 is inside the parent's spread of 15,
+    # a share of 0.6 of its median: over the bound, and the runs overlap
+    ([10, 20, 30, 40], [9.9, 19.9, 29.9, 39.9], "lower", "unresolved"),
+    # as wide a spread, but every change run beats every parent run
+    ([10, 11, 19, 20], [9, 9.5, 9.8, 9.9], "lower", "no worse"),
+    # median 26 against 20: worse by more than 0.25 of 20
+    ([20, 20, 20, 20], [26, 26, 26, 26], "lower", "worse"),
+    ([20, 20.5, 21, 20.2], [21, 21.5, 20.8, 21.2], "lower", "no worse"),
+    ([0.97] * 4, [0.97] * 4, "higher", "no worse"),
+    ([0.97] * 4, [0.7] * 4, "higher", "worse"),
+    ([0.9, 0.91, 0.92], [0.95, 0.96, 0.97], "higher", "gain"),
+])
+def test_verdicts(parent, change, better, expected):
+    both = list(zip(map(float, parent), map(float, change)))
+    assert bench_pairs.verdict(both, better, 0.25) == expected
+
+
+def test_each_metric_gets_its_verdict_and_a_table_line():
+    runs = [run(side, pair, result(ms, 0.975))
+            for pair in range(1, 11)
+            for side, ms in (("parent", 20.0 + pair), ("change", 10.0 + pair))]
+    summary = bench_pairs.assemble(runs, METRICS)["summary"]
+    entry = summary["skew_c100/seed0"]
+    assert entry["round_ms_min"]["verdict"] == "gain"
+    assert entry["final_test_acc"]["verdict"] == "no worse"
+    header, ms_line, acc_line = bench_pairs.table(summary)
+    assert header.split()[:2] == ["workload/seed", "metric"]
+    assert ms_line.split() == ["skew_c100/seed0", "round_ms_min", "25.5",
+                               "15.5", "0.608", "10/10", "gain"]
+    assert acc_line.split()[-2:] == ["no", "worse"]

@@ -16,9 +16,19 @@ and reads the run's `perfbench/out/result-*.json`.
 The record holds every result, the NumPy and BLAS versions and the BLAS
 thread count, and per workload, seed and end-to-end metric of
 BENCHMARK.json: both sides' medians and quartiles, the parent's quartile
-spread, the change/parent ratio of the medians and the pairs in which the
-change read better. The exit status is 1 if any run failed or reported
-`correct: false`.
+spread, the change/parent ratio of the medians, the pairs in which the
+change read better and a verdict, which is printed as a table at the end:
+
+    gain        the change read better in at least 9/10 of the pairs, and
+                its median is better than the parent's by more than the
+                parent's quartile spread
+    worse       the change's median is worse than the parent's by more than
+                the metric's bound, a share of the parent's median
+    unresolved  the parent's quartile spread exceeds that bound, and not
+                every change run reads better than every parent run
+    no worse    otherwise
+
+The exit status is 1 if any run failed or reported `correct: false`.
 """
 from __future__ import annotations
 
@@ -78,6 +88,43 @@ def _value(run: dict, metric: str) -> float | None:
     return None if record is None else record["result"]["metrics"][metric]["value"]
 
 
+def verdict(both: list[tuple[float, float]], better: str,
+            bound: float) -> str:
+    """gain, worse, unresolved or no worse (see the module docstring) for
+    one metric's (parent, change) pairs; bound is a share of the parent's
+    median."""
+    sign = 1 if better == "lower" else -1
+    parent = _stats([a for a, _ in both])
+    gap = sign * (parent["median"] - statistics.median(b for _, b in both))
+    spread = parent["q3"] - parent["q1"]
+    wins = sum(sign * (a - b) > 0 for a, b in both)
+    limit = bound * abs(parent["median"])
+    if 10 * wins >= 9 * len(both) and gap > spread:
+        return "gain"
+    if -gap > limit:
+        return "worse"
+    if spread > limit and not all(sign * (a - b) > 0
+                                  for a, _ in both for _, b in both):
+        return "unresolved"
+    return "no worse"
+
+
+def table(summary: dict) -> list[str]:
+    """One line per workload, seed and metric: both medians, the ratio, the
+    pairs the change won and the verdict."""
+    lines = [f"{'workload/seed':<18} {'metric':<22} {'parent':>10} "
+             f"{'change':>10} {'ratio':>7} {'won':>6}  verdict"]
+    for key, entry in summary.items():
+        for name, m in entry.items():
+            if isinstance(m, dict):
+                ratio = "-" if m["ratio"] is None else f"{m['ratio']:.3f}"
+                lines.append(
+                    f"{key:<18} {name:<22} {m['parent']['median']:>10.4g} "
+                    f"{m['change']['median']:>10.4g} {ratio:>7} "
+                    f"{m['change_better_in_pairs']:>6}  {m['verdict']}")
+    return lines
+
+
 def assemble(runs: list[dict], metrics: list[dict]) -> dict:
     """The summary and host of a record from its runs.
 
@@ -123,6 +170,7 @@ def assemble(runs: list[dict], metrics: list[dict]) -> dict:
                 "bound": m["bound"],
                 "better": m["better"],
                 "change_better_in_pairs": f"{better}/{len(both)}",
+                "verdict": verdict(both, m["better"], m["bound"]),
             }
         summary[f"{workload}/seed{seed}"] = entry
     return {"host": hosts[0] if len(hosts) == 1 else hosts, "summary": summary}
@@ -177,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    print("\n".join(table(record["summary"])))
     failed = sum(e["failed_runs"] for e in record["summary"].values())
     return 1 if failed else 0
 
