@@ -191,8 +191,9 @@ def _block_scores(params: ParameterSet, spec: ModelSpec, data,
 
 def evaluate(params: ParameterSet, spec: ModelSpec, data, *,
              loss: bool = True) -> tuple[float, float | None]:
-    """(accuracy, mean cross-entropy loss) over a whole dataset; with
-    loss=False, (accuracy, None), raising NonFiniteError as evaluate does."""
+    """(accuracy, mean cross-entropy loss) over a whole dataset, or with
+    loss=False (accuracy, None). A non-finite loss raises NonFiniteError
+    either way."""
     n = data.features.shape[0]
     if n < 1:
         raise EmptyInputError("evaluate on empty dataset")
