@@ -1,13 +1,15 @@
 """Server-side aggregation strategies.
 
-All strategies consume the round's ClientUpdates, sorted by client id
-and stacked into one (C, P) array with a client's pseudo-gradient per
-row, and reduce it column by column to the global update G, which the
-round loop applies as w <- w - step_scale * G. Rows are always added in
-client order. Adaptive strategies also carry persistent moment state
-across rounds. A round calls its strategy through aggregate(), which
-gathers each strategy's inputs; the *_aggregate functions take them
-explicitly.
+All strategies consume the round's ClientUpdates, sorted by client id,
+and reduce their pseudo-gradients element by element to the global update
+G, which the round loop applies as w <- w - step_scale * G. None stacks
+them into one (C, P) array: scalar client weights and the uniform mean
+fold the clients' vectors into one (tensors.fold), and ewwa works on one
+column block at a time. Rows are always added in client order, except in
+ewwa's column sums when P = 1, which NumPy adds pairwise. Adaptive
+strategies also carry persistent moment state across rounds. A round
+calls its strategy through aggregate(), which gathers each strategy's
+inputs; the *_aggregate functions take them explicitly.
 
 Strategies:
   fedavg       sample-count weighted mean of pseudo-gradients
@@ -36,9 +38,10 @@ from .tensors import (
     ParameterSet,
     column_softmax,
     flat_inner_product,
+    fold,
     l2_norm,
     mean,
-    stack,
+    rows,
 )
 from .training import ClientUpdate
 
@@ -46,6 +49,7 @@ log = logging.getLogger(__name__)
 
 STRATEGIES = ("fedavg", "fedopt", "fedams", "ewwa", "fedadp", "fedboosting")
 VARIANTS = ("adam", "adagrad", "yogi")
+BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,24 +88,23 @@ def initial_state(template: ParameterSet) -> AggregatorState:
                            smoothed_angles={})
 
 
-def _stacked(updates: list[ClientUpdate], state: AggregatorState | None = None,
-             ) -> tuple[list[ClientUpdate], np.ndarray]:
-    """Updates sorted by client id, and their pseudo-gradients as the rows
-    of one new (C, P) array. A given state must share their layout."""
+def _rows(updates: list[ClientUpdate], state: AggregatorState | None = None,
+          ) -> tuple[list[ClientUpdate], list[np.ndarray]]:
+    """Updates sorted by client id, and their pseudo-gradients' read-only
+    vectors. A given state must share their layout."""
     updates = sorted(updates, key=lambda u: u.client_id)
-    g = stack([u.pseudo_gradient for u in updates])
+    g = rows([u.pseudo_gradient for u in updates])
     if state is not None:
         state.m.check_structure(updates[0].pseudo_gradient)
     return updates, g
 
 
-def _weighted_sum(updates: list[ClientUpdate], g: np.ndarray,
-                  weights: np.ndarray) -> ParameterSet:
-    """sum_c weights[c] * g[c], adding the rows in client order; consumes g.
-
-    weights is (C,), one scalar per client, or (C, P), one per element."""
-    g *= weights.reshape(len(g), -1)
-    return updates[0].pseudo_gradient.with_flat(g.sum(axis=0))
+def _column_blocks(c: int, p: int) -> list[tuple[int, int]]:
+    """Fewest balanced [start, stop) ranges over [0, p) for (c, width) blocks of
+    <= BLOCK_VALUES values, >= 2 wide unless p < 2 (NumPy sums (c, 1) pairwise)."""
+    n = max(1, min(p // 2, -(-p // max(2, BLOCK_VALUES // c))))
+    bounds = [p * i // n for i in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _first_moment(m_prev: np.ndarray, g: np.ndarray,
@@ -138,9 +141,9 @@ def _second_moment(variant: str, v_prev: np.ndarray, g: np.ndarray,
 
 def fedavg_aggregate(updates: list[ClientUpdate]) -> ParameterSet:
     """Sample-count weighted mean of client pseudo-gradients."""
-    updates, g = _stacked(updates)
+    updates, g = _rows(updates)
     counts = np.array([u.num_samples for u in updates])
-    return _weighted_sum(updates, g, counts / counts.sum())
+    return updates[0].pseudo_gradient.with_flat(fold(g, counts / counts.sum()))
 
 
 def adaptive_step_size(server_lr: float, beta1: float, beta2: float,
@@ -153,8 +156,9 @@ def _mean_moments(updates: list[ClientUpdate], state: AggregatorState,
                   cfg: AggregatorConfig, variant: str,
                   ) -> tuple[int, np.ndarray, np.ndarray]:
     """Round number, then both moments advanced by the uniform mean gradient."""
-    _, g = _stacked(updates, state)
-    g_mean = g.sum(axis=0) * (1.0 / len(g))
+    _, g = _rows(updates, state)
+    g_mean = fold(g)
+    g_mean *= 1.0 / len(g)
     m = _first_moment(state.m.to_flat(), g_mean, cfg.beta1)
     v = _second_moment(variant, state.v.to_flat(), g_mean, cfg.beta2)
     return state.round + 1, m, v
@@ -186,34 +190,41 @@ def ewwa_aggregate(updates: list[ClientUpdate], state: AggregatorState,
                    cfg: AggregatorConfig, return_proportions: bool = False):
     """Element-wise adaptive aggregation.
 
-    Per client (one row of the (C, P) stack): moments from the shared
-    previous state, bias correction, contribution score
-    b = lr * m_hat / (sqrt(v_hat) + eps). A softmax down every column
-    yields per-element proportions, and G is the proportion-weighted sum
-    of client gradients. The shared state advances to the uniform mean
-    of the per-client moments.
+    Per client: moments from the shared previous state, bias correction,
+    contribution score b = lr * m_hat / (sqrt(v_hat) + eps). A softmax
+    across clients yields per-element proportions, and G is the
+    proportion-weighted sum of client gradients. The shared state advances
+    to the uniform mean of the per-client moments. Each column block of the
+    clients' gradients runs on its own; the new m, v and G are then tested.
     """
-    updates, g = _stacked(updates, state)
-    r = state.round + 1
-    bc1 = 1.0 - cfg.beta1 ** r
-    bc2 = 1.0 - cfg.beta2 ** r
-    m = _first_moment(state.m.to_flat(), g, cfg.beta1)
-    v = _second_moment(cfg.variant, state.v.to_flat(), g, cfg.beta2)
+    updates, grads = _rows(updates, state)
+    c, r = len(grads), state.round + 1
+    m_prev, v_prev = state.m.to_flat(), state.v.to_flat()
+    m_mean, v_mean, big_g = (np.empty(m_prev.size) for _ in range(3))
+    p_all = np.empty((c, m_prev.size)) if return_proportions else None
+    for lo, hi in _column_blocks(c, m_prev.size):
+        g = np.stack([row[lo:hi] for row in grads])
+        m = _first_moment(m_prev[lo:hi], g, cfg.beta1)
+        v = _second_moment(cfg.variant, v_prev[lo:hi], g, cfg.beta2)
+        m_mean[lo:hi] = m.sum(axis=0) * (1.0 / c)
+        v_mean[lo:hi] = v.sum(axis=0) * (1.0 / c)
+        # b = lr * (m / bc1) / (sqrt(v / bc2) + eps), built in place in m
+        m /= 1.0 - cfg.beta1 ** r
+        m *= cfg.server_lr
+        v /= 1.0 - cfg.beta2 ** r
+        np.sqrt(v, out=v)
+        v += cfg.epsilon
+        m /= v
+        p = column_softmax(m)
+        if p_all is not None:
+            p_all[:, lo:hi] = p
+        g *= p
+        big_g[lo:hi] = g.sum(axis=0)
     like = state.m.with_flat
-    new_state = replace(state, round=r, m=like(m.sum(axis=0) * (1.0 / len(g))),
-                        v=like(v.sum(axis=0) * (1.0 / len(g))))
-    # b = lr * (m / bc1) / (sqrt(v / bc2) + eps), built in place in m
-    m /= bc1
-    m *= cfg.server_lr
-    v /= bc2
-    np.sqrt(v, out=v)
-    v += cfg.epsilon
-    m /= v
-    del v
-    p = column_softmax(m)
-    big_g = _weighted_sum(updates, g, p)
+    new_state = replace(state, round=r, m=like(m_mean), v=like(v_mean))
+    big_g = updates[0].pseudo_gradient.with_flat(big_g)
     if return_proportions:
-        return big_g, new_state, [like(row) for row in p]
+        return big_g, new_state, [like(row) for row in p_all]
     return big_g, new_state
 
 
@@ -226,7 +237,7 @@ def fedadp_aggregate(updates: list[ClientUpdate], state: AggregatorState,
                      cfg: AggregatorConfig, global_mean_grad: ParameterSet,
                      ) -> tuple[ParameterSet, AggregatorState]:
     """Angle-based per-client weighting with running-mean smoothing."""
-    updates, g = _stacked(updates)
+    updates, g = _rows(updates)
     r = state.round + 1
     norm_global = l2_norm(global_mean_grad)
     angles = {}
@@ -245,8 +256,7 @@ def fedadp_aggregate(updates: list[ClientUpdate], state: AggregatorState,
     contribs = np.array([
         gompertz_contribution(angles[u.client_id], cfg.adp_alpha) for u in updates
     ])
-    weights = column_softmax(contribs)
-    return (_weighted_sum(updates, g, weights),
+    return (updates[0].pseudo_gradient.with_flat(fold(g, column_softmax(contribs))),
             replace(state, round=r, smoothed_angles=angles))
 
 
@@ -257,7 +267,7 @@ def fedboosting_aggregate(updates: list[ClientUpdate], cross_val: np.ndarray,
     cross_val[i][j] is model i's validation accuracy on client j's
     held-out split; train_metrics[i] is client i's final train accuracy.
     """
-    updates, g = _stacked(updates)
+    updates, g = _rows(updates)
     c = len(updates)
     cross_val = np.asarray(cross_val, dtype=np.float64)
     # a copy: column_softmax below overwrites its argument
@@ -273,7 +283,7 @@ def fedboosting_aggregate(updates: list[ClientUpdate], cross_val: np.ndarray,
     s = column_softmax(train_metrics)
     off_diag_sums = cross_val.sum(axis=1) - np.diag(cross_val)
     weights = column_softmax(s * off_diag_sums)
-    return _weighted_sum(updates, g, weights)
+    return updates[0].pseudo_gradient.with_flat(fold(g, weights))
 
 
 def aggregate(updates: list[ClientUpdate], state: AggregatorState,

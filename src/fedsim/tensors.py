@@ -6,8 +6,8 @@ slice of the vector it occupies. Only this module knows that layout.
 Every set derived from another (with_flat, zip_map, mean) shares the
 layout object, so element-wise arithmetic is one NumPy call over the
 whole vector and a structure check between related sets is an identity
-test. Values are checked to be finite whenever a set is built, so no
-public operation can hand back NaN or Inf.
+test. Values are checked to be finite whenever a set is built, or just before
+for ParameterSet._adopt, so no public operation can hand back NaN or Inf.
 """
 from __future__ import annotations
 
@@ -28,13 +28,6 @@ def _check_finite(layout: Layout, flat: np.ndarray) -> None:
         bad = int(np.argmin(finite))
         name = next(n for n, _, start, stop in layout if start <= bad < stop)
         raise NonFiniteError(f"layer {name!r}: non-finite values")
-
-
-def _frozen(layout: Layout, flat: np.ndarray) -> np.ndarray:
-    """Check that an owned vector is finite, then make it read-only."""
-    _check_finite(layout, flat)
-    flat.flags.writeable = False
-    return flat
 
 
 class ParameterSet:
@@ -68,7 +61,9 @@ class ParameterSet:
             start += expected
         self._layout: Layout = tuple(layout)
         flat = np.concatenate(chunks) if chunks else np.empty(0)
-        self._flat = _frozen(self._layout, flat)
+        _check_finite(self._layout, flat)
+        flat.flags.writeable = False
+        self._flat = flat
 
     def check_structure(self, other: "ParameterSet") -> None:
         if self._layout is other._layout:
@@ -115,9 +110,15 @@ class ParameterSet:
         values = np.array(flat, dtype=np.float64, order="C", copy=True).reshape(-1)
         if values.size != self._flat.size:
             raise ValueError(f"flat vector size {values.size} != {self._flat.size}")
+        _check_finite(self._layout, values)
+        return self._adopt(values)
+
+    def _adopt(self, flat: np.ndarray) -> "ParameterSet":
+        """A set holding flat itself, unchecked: a finite vector no one else writes."""
+        flat.flags.writeable = False
         out = object.__new__(ParameterSet)
         out._layout = self._layout
-        out._flat = _frozen(self._layout, values)
+        out._flat = flat
         return out
 
     def __repr__(self) -> str:
@@ -135,22 +136,30 @@ def zip_map(
     return a.with_flat(f(a._flat, b._flat))
 
 
-def stack(sets: Sequence[ParameterSet]) -> np.ndarray:
-    """The sets' vectors as the rows of a new C-ordered (C, P) array.
-
-    Reducing it with .sum(axis=0) adds the rows in the given order.
-    """
+def rows(sets: Sequence[ParameterSet]) -> list[np.ndarray]:
+    """The sets' read-only vectors, once checked to share one structure."""
     if len(sets) == 0:
-        raise EmptyFederationError("no parameter sets to stack")
+        raise EmptyFederationError("no parameter sets")
     for other in sets[1:]:
         sets[0].check_structure(other)
-    return np.stack([s._flat for s in sets])
+    return [s._flat for s in sets]
+
+
+def fold(vectors: Sequence[np.ndarray], weights=None) -> np.ndarray:
+    """sum_c weights[c] * vectors[c], or the plain sum, as a new vector:
+    the terms added in the given order to zeros, as .sum(axis=0) over their
+    (C, P) stack adds them when P >= 2 (it sums a (C, 1) stack pairwise)."""
+    total, scratch = np.zeros(len(vectors[0])), np.empty(len(vectors[0]))
+    for c, row in enumerate(vectors):
+        total += row if weights is None else np.multiply(row, weights[c], out=scratch)
+    return total
 
 
 def mean(sets: Sequence[ParameterSet]) -> ParameterSet:
-    """Uniform mean of structurally identical sets, summed in given order."""
-    total = stack(sets).sum(axis=0)
-    return sets[0].with_flat(total * (1.0 / len(sets)))
+    """Uniform mean of structurally identical sets, folded in given order."""
+    total = fold(rows(sets))
+    total *= 1.0 / len(sets)
+    return sets[0].with_flat(total)
 
 
 def flat_inner_product(a: ParameterSet, b: ParameterSet) -> float:

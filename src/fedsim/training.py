@@ -111,7 +111,7 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
                         global_params.check_finite(vec)
                 epoch_losses.append(loss)
             last_epoch_losses = epoch_losses
-        params = global_params.with_flat(w)
+        params = global_params._adopt(w)  # the last step tested w
         # (w0 - w) * (1 / lr), computed in the step scratch vector
         pseudo_gradient = zip_map(
             global_params, params, lambda w0, w: np.multiply(

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fedsim.aggregators import (
+    BLOCK_VALUES,
     STRATEGIES,
     VARIANTS,
     AggregatorConfig,
+    AggregatorState,
+    _column_blocks,
     _first_moment,
     _second_moment,
     adaptive_step_size,
@@ -19,7 +24,13 @@ from fedsim.aggregators import (
     initial_state,
 )
 from fedsim.errors import EmptyFederationError, StructureMismatchError
-from fedsim.tensors import ParameterSet, mean
+from fedsim.tensors import (
+    ParameterSet,
+    column_softmax,
+    flat_inner_product,
+    l2_norm,
+    mean,
+)
 from fedsim.training import ClientUpdate
 
 
@@ -557,3 +568,233 @@ class TestConfigValidation:
     def test_defaults_match_protocol(self):
         cfg = AggregatorConfig()
         assert (cfg.server_lr, cfg.beta1, cfg.beta2) == (1.0, 0.9, 0.999)
+
+
+# The strategies as they were when each stacked the clients' pseudo-
+# gradients into one (C, P) array and reduced it with .sum(axis=0): the
+# reference that folding and column blocks must match bit for bit.
+
+def stacked(updates):
+    updates = sorted(updates, key=lambda u: u.client_id)
+    return updates, np.stack([u.pseudo_gradient.to_flat() for u in updates])
+
+
+def stacked_weighted_sum(updates, g, weights):
+    g *= weights.reshape(len(g), -1)
+    return updates[0].pseudo_gradient.with_flat(g.sum(axis=0))
+
+
+def stacked_fedavg(updates):
+    updates, g = stacked(updates)
+    counts = np.array([u.num_samples for u in updates])
+    return stacked_weighted_sum(updates, g, counts / counts.sum())
+
+
+def stacked_fedopt(updates, state, cfg, amsgrad=False):
+    _, g = stacked(updates)
+    g_mean = g.sum(axis=0) * (1.0 / len(g))
+    r = state.round + 1
+    m = _first_moment(state.m.to_flat(), g_mean, cfg.beta1)
+    v = _second_moment("adam" if amsgrad else cfg.variant, state.v.to_flat(),
+                       g_mean, cfg.beta2)
+    v_max = np.maximum(state.v_max.to_flat(), v) if amsgrad else v
+    eta = adaptive_step_size(cfg.server_lr, cfg.beta1, cfg.beta2, r)
+    big_g = eta * m / (np.sqrt(v_max) + cfg.epsilon)
+    like = state.m.with_flat
+    return like(big_g), AggregatorState(
+        r, like(m), like(v), like(v_max) if amsgrad else state.v_max,
+        state.smoothed_angles)
+
+
+def stacked_ewwa(updates, state, cfg):
+    updates, g = stacked(updates)
+    r = state.round + 1
+    m = _first_moment(state.m.to_flat(), g, cfg.beta1)
+    v = _second_moment(cfg.variant, state.v.to_flat(), g, cfg.beta2)
+    like = state.m.with_flat
+    new_state = AggregatorState(
+        r, like(m.sum(axis=0) * (1.0 / len(g))),
+        like(v.sum(axis=0) * (1.0 / len(g))), state.v_max,
+        state.smoothed_angles)
+    m /= 1.0 - cfg.beta1 ** r
+    m *= cfg.server_lr
+    v /= 1.0 - cfg.beta2 ** r
+    np.sqrt(v, out=v)
+    v += cfg.epsilon
+    m /= v
+    p = column_softmax(m)
+    return (stacked_weighted_sum(updates, g, p), new_state,
+            [like(row) for row in p])
+
+
+def stacked_fedadp(updates, state, cfg, global_mean_grad):
+    updates, g = stacked(updates)
+    r = state.round + 1
+    norm_global = l2_norm(global_mean_grad)
+    angles = {}
+    for u in updates:
+        norm_local = l2_norm(u.pseudo_gradient)
+        if norm_global < 1e-300 or norm_local < 1e-300:
+            theta = np.pi / 2.0
+        else:
+            cos = flat_inner_product(global_mean_grad, u.pseudo_gradient) / (
+                norm_global * norm_local)
+            theta = float(np.arccos(np.clip(cos, -1.0, 1.0)))
+        prev = state.smoothed_angles.get(u.client_id)
+        angles[u.client_id] = theta if prev is None else ((r - 1) * prev + theta) / r
+    contribs = np.array([gompertz_contribution(angles[u.client_id], cfg.adp_alpha)
+                         for u in updates])
+    return (stacked_weighted_sum(updates, g, column_softmax(contribs)),
+            AggregatorState(r, state.m, state.v, state.v_max, angles))
+
+
+def stacked_fedboosting(updates, cross_val, train_metrics):
+    updates, g = stacked(updates)
+    s = column_softmax(np.array(train_metrics, dtype=np.float64))
+    off_diag_sums = cross_val.sum(axis=1) - np.diag(cross_val)
+    return stacked_weighted_sum(updates, g,
+                                column_softmax(s * off_diag_sums))
+
+
+def stacked_mean(sets):
+    total = np.stack([s.to_flat() for s in sets]).sum(axis=0)
+    return sets[0].with_flat(total * (1.0 / len(sets)))
+
+
+def bits(result):
+    """Every value of a set, or of a (G, state) or (G, state, proportions)
+    result, the arrays as bytes."""
+    if isinstance(result, ParameterSet):
+        return result.to_flat().tobytes()
+    big_g, state, *proportions = result
+    return [bits(big_g), *(bits(getattr(state, n)) for n in ("m", "v", "v_max")),
+            state.round, state.smoothed_angles,
+            *(bits(p) for props in proportions for p in props)]
+
+
+def round_inputs(rng, c, p):
+    """c shuffled updates of p values, with unequal sample counts, some
+    -0.0 and some subnormal values, and a state with non-zero moments and
+    angles for every other client."""
+    grads = rng.normal(size=(c, p)) * 10.0 ** rng.integers(-3, 3, size=(c, p))
+    grads[rng.random((c, p)) < 0.05] = -0.0
+    grads[rng.random((c, p)) < 0.02] = -1e-320
+    updates = [ClientUpdate(cid, ps(*grads[cid]), int(rng.integers(1, 500)),
+                            0.0, float(rng.uniform())) for cid in range(c)]
+    updates = [updates[i] for i in rng.permutation(c)]
+    m, v = rng.normal(size=p), rng.random(size=p)
+    v[: p // 3] = grads[0, : p // 3] ** 2  # yogi's sign(0)
+    state = AggregatorState(
+        4, ps(*m), ps(*v), ps(*np.maximum(v, rng.random(size=p))),
+        {cid: float(rng.uniform(0, np.pi)) for cid in range(0, c, 2)})
+    return updates, state
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 511, 2762, 5001])
+@pytest.mark.parametrize("c", [1, 2, 3, 10, 100, 257])
+def test_every_strategy_equals_its_stacked_form_bit_for_bit(c, p):
+    """Over one to several of ewwa's column blocks (257 x 5001 values take
+    20), shuffled clients and a state from earlier rounds. At 257 x 511,
+    blocks of a fixed 255 columns would leave a 1-column block, which
+    NumPy sums pairwise."""
+    rng = np.random.default_rng(1000 * c + p)
+    updates, state = round_inputs(rng, c, p)
+    grads = [u.pseudo_gradient for u in updates]
+    g_mean = mean(grads)
+    assert bits(g_mean) == bits(stacked_mean(grads))
+    assert bits(fedavg_aggregate(updates)) == bits(stacked_fedavg(updates))
+    for variant in VARIANTS:
+        cfg = AggregatorConfig(variant=variant)
+        assert (bits(fedopt_aggregate(updates, state, cfg))
+                == bits(stacked_fedopt(updates, state, cfg)))
+        reference = stacked_ewwa(updates, state, cfg)
+        assert (bits(ewwa_aggregate(updates, state, cfg, return_proportions=True))
+                == bits(reference))
+        assert bits(ewwa_aggregate(updates, state, cfg)) == bits(reference[:2])
+    cfg = AggregatorConfig()
+    assert (bits(fedams_aggregate(updates, state, cfg))
+            == bits(stacked_fedopt(updates, state, cfg, amsgrad=True)))
+    assert (bits(fedadp_aggregate(updates, state, cfg, g_mean))
+            == bits(stacked_fedadp(updates, state, cfg, g_mean)))
+    cross_val = rng.uniform(size=(c, c))
+    train = rng.uniform(size=c)
+    assert (bits(fedboosting_aggregate(updates, cross_val, train))
+            == bits(stacked_fedboosting(updates, cross_val, train)))
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 7, 100, 257, 30000, 40000])
+def test_column_blocks_cover_the_columns_at_least_two_wide(c):
+    for p in range(1, 301):
+        blocks = _column_blocks(c, p)
+        assert blocks[0][0] == 0 and blocks[-1][1] == p
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        widths = [hi - lo for lo, hi in blocks]
+        assert min(widths) >= min(2, p)
+        assert max(widths) - min(widths) <= 1  # balanced
+        if c * 3 <= BLOCK_VALUES:
+            assert c * max(widths) <= BLOCK_VALUES
+        if c * p <= BLOCK_VALUES:
+            assert len(blocks) == 1
+
+
+def test_a_skew_c100_round_takes_five_blocks():
+    assert [hi - lo for lo, hi in _column_blocks(100, 2762)] == [552, 552, 553,
+                                                                  552, 553]
+
+
+def test_one_value_sets_fold_in_client_order():
+    """At P = 1 the folding strategies add the clients in client order,
+    where .sum(axis=0) over a (C, 1) stack adds pairwise."""
+    rng = np.random.default_rng(8)
+    cfg = AggregatorConfig()
+    for _ in range(20):
+        updates = [upd(c, [x], n=int(rng.integers(1, 500))) for c, x in
+                   enumerate(rng.normal(size=100) * 10.0 ** rng.integers(
+                       -10, 10, size=100))]
+        counts = [u.num_samples for u in updates]
+        total = 0.0
+        for u, n in zip(updates, counts):
+            total += n / sum(counts) * u.pseudo_gradient.to_flat()[0]
+        assert fedavg_aggregate(updates[::-1]).to_flat()[0] == total
+        total = 0.0
+        for u in updates:
+            total += u.pseudo_gradient.to_flat()[0]
+        _, state = fedopt_aggregate(updates, initial_state(ps(0.0)), cfg)
+        assert state.m.to_flat()[0] == (1 - cfg.beta1) * (total * (1.0 / 100))
+
+
+def peak_stacks(call, stack_bytes):
+    """call's peak of traced allocations, in (C, P) float64 stacks."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / stack_bytes
+
+
+def test_no_strategy_allocates_half_a_stack():
+    c, p = 64, 20_000
+    rng = np.random.default_rng(2)
+    updates = [ClientUpdate(cid, ps(*rng.normal(size=p)), int(rng.integers(1, 50)),
+                            0.0, 0.5) for cid in range(c)]
+    state = initial_state(ps(*np.zeros(p)))
+    grads = [u.pseudo_gradient for u in updates]
+    g_mean = mean(grads)
+    calls = {
+        "mean": lambda: mean(grads),
+        "fedavg": lambda: fedavg_aggregate(updates),
+        "fedadp": lambda: fedadp_aggregate(updates, state, AggregatorConfig(),
+                                           g_mean),
+        "fedboosting": lambda: fedboosting_aggregate(
+            updates, np.full((c, c), 0.5), np.full(c, 0.5)),
+        "fedams": lambda: fedams_aggregate(updates, state, AggregatorConfig()),
+        **{f"{name}-{variant}": (lambda fn=fn, variant=variant: fn(
+            updates, state, AggregatorConfig(variant=variant)))
+           for name, fn in (("fedopt", fedopt_aggregate),
+                            ("ewwa", ewwa_aggregate))
+           for variant in VARIANTS},
+    }
+    peaks = {name: peak_stacks(call, c * p * 8) for name, call in calls.items()}
+    assert max(peaks.values()) < 0.5, peaks

@@ -16,9 +16,10 @@ ENV = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas",
        "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": None, "seed": 0}
 
 
-def result(round_ms_min, acc, correct=True):
+def result(round_ms_min, acc, correct=True, passes=40):
     """A perfbench result record, cut down to what assemble reads."""
-    return {"environment": ENV, "result": {"correct": correct, "metrics": {
+    return {"environment": ENV, "passes": passes,
+            "result": {"correct": correct, "metrics": {
         "round_ms_min": {"value": round_ms_min, "unit": "ms"},
         "final_test_acc": {"value": acc, "unit": "share"}}}}
 
@@ -98,8 +99,28 @@ def test_each_metric_gets_its_verdict_and_a_table_line():
     entry = summary["skew_c100/seed0"]
     assert entry["round_ms_min"]["verdict"] == "gain"
     assert entry["final_test_acc"]["verdict"] == "no worse"
-    header, ms_line, acc_line = bench_pairs.table(summary)
+    header, ms_line, acc_line, passes_line = bench_pairs.table(summary)
     assert header.split()[:2] == ["workload/seed", "metric"]
     assert ms_line.split() == ["skew_c100/seed0", "round_ms_min", "25.5",
                                "15.5", "0.608", "10/10", "gain"]
     assert acc_line.split()[-2:] == ["no", "worse"]
+    assert passes_line.split() == ["skew_c100/seed0", "passes", "40", "40"]
+
+
+def test_each_side_records_its_median_passes():
+    """peak_rss_mb rises with the passes a run makes, so each side's
+    median passes stand beside the metrics; a failed run has none."""
+    runs = [run("parent", 1, result(20.0, 0.9, passes=48)),
+            run("change", 1, result(18.0, 0.9, passes=69)),
+            run("parent", 2, result(20.0, 0.9, passes=50)),
+            run("change", 2, None),
+            run("parent", 3, result(20.0, 0.9, passes=49)),
+            run("change", 3, result(18.0, 0.9, passes=71))]
+    summary = bench_pairs.assemble(runs, METRICS)["summary"]
+    assert summary["skew_c100/seed0"]["passes"] == {"parent": 49, "change": 70}
+    assert bench_pairs.table(summary)[-1].split() == [
+        "skew_c100/seed0", "passes", "49", "70"]
+    failed = bench_pairs.assemble([run("parent", 1, None),
+                                   run("change", 1, result(18.0, 0.9))], METRICS)
+    assert failed["summary"]["skew_c100/seed0"]["passes"] == {
+        "parent": None, "change": 40}

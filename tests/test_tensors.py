@@ -11,8 +11,9 @@ from fedsim.tensors import (
     column_softmax,
     flat_inner_product,
     l2_norm,
+    fold,
     mean,
-    stack,
+    rows,
     zip_map,
 )
 
@@ -22,6 +23,11 @@ def make(values_a, values_b=None):
     if values_b is not None:
         layers.append(("b", (len(values_b),), np.asarray(values_b, dtype=float)))
     return ParameterSet(layers)
+
+
+def stack(sets):
+    """The sets' vectors as the rows of one (C, P) array."""
+    return np.stack(rows(sets))
 
 
 def random_set(rng, sizes=(7, 13)):
@@ -164,9 +170,9 @@ class TestCrossClientSoftmax:
         rows = column_softmax(stack([same, same, same]))
         np.testing.assert_allclose(rows, 1.0 / 3.0, atol=1e-12)
 
-    def test_empty_stack_rejected(self):
+    def test_empty_rows_rejected(self):
         with pytest.raises(EmptyFederationError):
-            stack([])
+            rows([])
 
     @pytest.mark.parametrize("num_clients", [2, 3, 5])
     def test_proportions_sum_to_one(self, num_clients):
@@ -227,3 +233,73 @@ def test_mean_of_sets():
     np.testing.assert_array_equal(mean(xs).layers()["a"], [1.0, 2.0])
     with pytest.raises(EmptyFederationError):
         mean([])
+
+
+def test_rows_are_the_read_only_vectors_and_check_the_structure():
+    xs = [make([0.0, 4.0]), make([2.0, 0.0])]
+    a, b = rows(xs)
+    np.testing.assert_array_equal(a, [0.0, 4.0])
+    assert not a.flags.writeable and not b.flags.writeable
+    with pytest.raises(StructureMismatchError):
+        rows([make([1.0]), make([1.0], [2.0])])
+
+
+def left_fold(columns, weights=None):
+    """One element's sum in plain Python floats: 0.0, then each term in
+    turn."""
+    total = 0.0
+    for c, x in enumerate(columns):
+        total += float(x) if weights is None else float(x) * float(weights[c])
+    return total
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_fold_adds_the_terms_in_the_given_order(size):
+    """Elementwise the Python left fold, for every size: at size 1 too,
+    where NumPy sums a (C, 1) stack pairwise. The terms span 20 orders of
+    magnitude, so the order of the additions shows in the result."""
+    rng = np.random.default_rng(size)
+    stacked_differs = 0
+    for _ in range(50):
+        vectors = [rng.normal(size=size) * 10.0 ** rng.integers(-10, 10)
+                   for _ in range(100)]
+        weights = rng.random(100)
+        for w in (None, weights):
+            total = fold(vectors, w)
+            for j in range(size):
+                column = [v[j] for v in vectors]
+                assert total[j] == left_fold(column, w)
+            stack_ = np.stack(vectors) * (1.0 if w is None else w[:, None])
+            stacked_differs += not np.array_equal(total, stack_.sum(axis=0))
+    # pairwise at size 1, row by row otherwise
+    assert (stacked_differs > 0) == (size == 1)
+
+
+def test_fold_starts_from_zero_as_a_stack_sum_does():
+    """-0.0 + -0.0 is -0.0, but 0.0 + -0.0 is 0.0: a fold seeded with its
+    first term would keep a -0.0 that .sum(axis=0) turns into 0.0."""
+    vectors = [np.array([-0.0, -0.0, 1.0]), np.array([-0.0, 2.0, -0.0])]
+    for w in (None, np.array([1.0, 1e-320])):
+        total = fold(vectors, w)
+        expected = (np.stack(vectors) * (1.0 if w is None else w[:, None])
+                    ).sum(axis=0)
+        assert total.tobytes() == expected.tobytes()
+        assert not np.signbit(total[0])
+
+
+def test_mean_of_one_value_sets_adds_in_the_given_order():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        xs = [make([x]) for x in rng.normal(size=100) * 10.0 ** rng.integers(
+            -10, 10, size=100)]
+        expected = left_fold([x.to_flat()[0] for x in xs]) * (1.0 / 100)
+        assert mean(xs).to_flat()[0] == expected
+
+
+def test_adopt_takes_the_vector_itself_and_freezes_it():
+    template = make([0.0, 0.0])
+    flat = np.array([1.0, 2.0])
+    adopted = template._adopt(flat)
+    assert not flat.flags.writeable
+    assert np.shares_memory(adopted.layers()["a"], flat)
+    assert repr(adopted) == repr(template)

@@ -14,10 +14,12 @@ side, the parent first in odd pairs and the change first in even ones,
 and reads the run's `perfbench/out/result-*.json`.
 
 The record holds every result, the NumPy and BLAS versions and the BLAS
-thread count, and per workload, seed and end-to-end metric of
-BENCHMARK.json: both sides' medians and quartiles, the parent's quartile
-spread, the change/parent ratio of the medians, the pairs in which the
-change read better and a verdict, which is printed as a table at the end:
+thread count, per workload and seed each side's median number of passes
+(`peak_rss_mb` rises with it, as every pass's outcome is kept), and per
+workload, seed and end-to-end metric of BENCHMARK.json: both sides'
+medians and quartiles, the parent's quartile spread, the change/parent
+ratio of the medians, the pairs in which the change read better and a
+verdict, which is printed as a table at the end, with the passes:
 
     gain        the change read better in at least 9/10 of the pairs, and
                 its median is better than the parent's by more than the
@@ -83,6 +85,10 @@ def _stats(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def _median_or_none(values: list[float]) -> float | None:
+    return statistics.median(values) if values else None
+
+
 def _value(run: dict, metric: str) -> float | None:
     record = run["record"]
     return None if record is None else record["result"]["metrics"][metric]["value"]
@@ -111,17 +117,21 @@ def verdict(both: list[tuple[float, float]], better: str,
 
 def table(summary: dict) -> list[str]:
     """One line per workload, seed and metric: both medians, the ratio, the
-    pairs the change won and the verdict."""
+    pairs the change won and the verdict; then, per workload and seed, both
+    sides' median passes."""
     lines = [f"{'workload/seed':<18} {'metric':<22} {'parent':>10} "
              f"{'change':>10} {'ratio':>7} {'won':>6}  verdict"]
     for key, entry in summary.items():
         for name, m in entry.items():
-            if isinstance(m, dict):
+            if isinstance(m, dict) and "verdict" in m:
                 ratio = "-" if m["ratio"] is None else f"{m['ratio']:.3f}"
                 lines.append(
                     f"{key:<18} {name:<22} {m['parent']['median']:>10.4g} "
                     f"{m['change']['median']:>10.4g} {ratio:>7} "
                     f"{m['change_better_in_pairs']:>6}  {m['verdict']}")
+        parent, change = ("-" if n is None else f"{n:g}"
+                          for n in entry["passes"].values())
+        lines.append(f"{key:<18} {'passes':<22} {parent:>10} {change:>10}")
     return lines
 
 
@@ -150,7 +160,11 @@ def assemble(runs: list[dict], metrics: list[dict]) -> dict:
                  "failed_runs": sum(r["record"] is None
                                     or not r["record"]["result"]["correct"]
                                     for p in pairs.values()
-                                    for r in p.values())}
+                                    for r in p.values()),
+                 "passes": {side: _median_or_none(
+                     [p[side]["record"]["passes"] for p in pairs.values()
+                      if p.get(side, {}).get("record") is not None])
+                     for side in SIDES}}
         for m in metrics:
             both = [(_value(p["parent"], m["name"]), _value(p["change"], m["name"]))
                     for p in pairs.values() if set(p) == set(SIDES)]
