@@ -105,7 +105,7 @@ class ParameterSet:
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
         """A set with this layout holding a frozen copy of one flat vector.
 
-        Every set derived from another is built here, without __init__.
+        Every derived set is built here or by _adopt, without __init__.
         """
         values = np.array(flat, dtype=np.float64, order="C", copy=True).reshape(-1)
         if values.size != self._flat.size:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fedsim.tensors
 import fedsim.training
 from fedsim.data import synth_blobs
 from fedsim.errors import NonFiniteError
@@ -84,6 +85,22 @@ class TestTrainLocal:
         redone = (params.to_flat() - cfg.lr * update.pseudo_gradient.to_flat())
         np.testing.assert_allclose(update.local_params.to_flat(), redone,
                                    atol=1e-15)
+
+    def test_final_weights_are_adopted_and_only_the_pseudo_gradient_tested(
+            self, monkeypatch):
+        """The last step tested the final weights, so local_params takes
+        them as they are; only the pseudo-gradient is built through the
+        whole-vector finite check."""
+        params, shard, checked = init_params(SPEC, 7), make_shard(seed=3), []
+        check = fedsim.tensors._check_finite
+        monkeypatch.setattr(fedsim.tensors, "_check_finite",
+                            lambda layout, flat: checked.append(flat.copy())
+                            or check(layout, flat))
+        update = train_local(params, SPEC, shard, LocalConfig(batch_size=6),
+                             seed=4)
+        assert len(checked) == 1
+        assert np.array_equal(checked[0], update.pseudo_gradient.to_flat())
+        assert not update.local_params.layers()["hidden_weight"].flags.writeable
 
     def test_update_metadata(self):
         shard = make_shard(seed=1)
