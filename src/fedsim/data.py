@@ -77,12 +77,10 @@ class Partition:
             raise ValueError("shards do not cover the parent index set")
 
 
-def read_idx(path, expected_magic: int | None = None) -> tuple[int, tuple[int, ...], np.ndarray]:
-    """Parse one IDX file into (magic, dims, flat uint8 payload).
-
-    When expected_magic is given, any other magic is a format error; the
-    dimension count is always taken from the magic's low byte.
-    """
+def read_idx(path, magic: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Parse one IDX file with the given magic into (dims, flat uint8
+    payload). Any other magic is a format error; the dimension count is
+    the magic's low byte."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -91,11 +89,9 @@ def read_idx(path, expected_magic: int | None = None) -> tuple[int, tuple[int, .
             f"cannot read IDX file '{path}': {exc.strerror}") from exc
     if len(raw) < 4:
         raise IdxLengthError(f"{path}: only {len(raw)} bytes, no magic")
-    (magic,) = struct.unpack(">I", raw[:4])
-    if expected_magic is not None and magic != expected_magic:
-        raise IdxFormatError(
-            f"{path}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-        )
+    (found,) = struct.unpack(">I", raw[:4])
+    if found != magic:
+        raise IdxFormatError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
     ndim = magic & 0xFF
     header_len = 4 + 4 * ndim
     if len(raw) < header_len:
@@ -107,22 +103,13 @@ def read_idx(path, expected_magic: int | None = None) -> tuple[int, tuple[int, .
         raise IdxLengthError(
             f"{path}: {len(payload)} payload bytes, header promises {expected}"
         )
-    return magic, dims, np.frombuffer(payload, dtype=np.uint8)
-
-
-def write_idx(path, magic: int, dims: tuple[int, ...], payload: np.ndarray) -> None:
-    """Inverse of read_idx; byte-exact round trip for valid files."""
-    data = np.asarray(payload, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">I", magic))
-        fh.write(struct.pack(f">{len(dims)}I", *dims))
-        fh.write(data.tobytes())
+    return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-style image/label IDX pair, pixels scaled to [0,1]."""
-    _, img_dims, img_data = read_idx(images_path, IDX_MAGIC_IMAGES)
-    _, lbl_dims, lbl_data = read_idx(labels_path, IDX_MAGIC_LABELS)
+    img_dims, img_data = read_idx(images_path, IDX_MAGIC_IMAGES)
+    lbl_dims, lbl_data = read_idx(labels_path, IDX_MAGIC_LABELS)
     n, rows, cols = img_dims
     if n != lbl_dims[0]:
         raise IdxConsistencyError(

@@ -198,13 +198,8 @@ def run_federation(cfg: FederationConfig,
                         InsufficientDataError):
                 splits.append(split_train_test(shard, TRAIN_RATIO,
                                                client_seed(cfg.seed, 0, cid)))
-        shards = [tr for tr, _ in splits]
-        val_all = Dataset(np.concatenate([v.features for _, v in splits]),
-                          np.concatenate([v.labels for _, v in splits]),
-                          data.num_classes)
-        val_sizes = [v.n for _, v in splits]
-        cross_validate = lambda models: cross_accuracy(models, spec, val_all,
-                                                       val_sizes)
+        shards, held_out = [tr for tr, _ in splits], [v for _, v in splits]
+        cross_validate = lambda models: cross_accuracy(models, spec, held_out)
 
     records: list[RoundRecord] = []
     for r in range(1, cfg.rounds + 1):

@@ -202,18 +202,19 @@ def evaluate(params: ParameterSet, spec: ModelSpec, data, *,
     return float(accuracy), losses[0] if loss else None
 
 
-def cross_accuracy(models, spec: ModelSpec, data, sizes) -> np.ndarray:
+def cross_accuracy(models, spec: ModelSpec, datasets) -> np.ndarray:
     """The C x C matrix of each model's accuracy on each of C datasets.
 
-    data holds the datasets back to back, dataset j being the next
-    sizes[j] rows; every size must be at least 1. Each model is one forward
-    pass over all rows, so `models` may be a generator. Entry [i, j] is the
-    exact count/n of dataset j's rows whose argmax in model i's pass is
-    their label. It need not equal evaluate on dataset j alone: BLAS may
-    round a row's logits differently with other rows beside it. The call
-    raises NonFiniteError if any dataset's mean cross-entropy in that pass
-    is not finite.
+    The datasets' rows are joined back to back, in order, and each model is
+    one forward pass over all of them, so `models` may be a generator.
+    Entry [i, j] is the exact count/n of dataset j's rows whose argmax in
+    model i's pass is their label. It need not equal evaluate on dataset j
+    alone: BLAS may round a row's logits differently with other rows beside
+    it. The call raises NonFiniteError if any dataset's mean cross-entropy
+    in that pass is not finite.
     """
-    bounds = np.cumsum([0, *sizes])
-    return np.stack([_block_scores(params, spec, data, bounds, False)[1]
+    rows = Batch(np.concatenate([d.features for d in datasets]),
+                 np.concatenate([d.labels for d in datasets]))
+    bounds = np.cumsum([0, *(len(d.labels) for d in datasets)])
+    return np.stack([_block_scores(params, spec, rows, bounds, False)[1]
                      for params in models])

@@ -98,12 +98,9 @@ def config_to_dict(cfg: FederationConfig) -> dict:
             for key, (section, _) in CONFIG_KEYS.items()}
 
 
-def canonical_config_text(cfg: FederationConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(cfg: FederationConfig) -> str:
-    return hashlib.sha256(canonical_config_text(cfg).encode()).hexdigest()
+    text = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_dir(out_root, cfg: FederationConfig) -> Path:

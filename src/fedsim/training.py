@@ -91,7 +91,6 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     w = global_params.to_flat()
     u, g, step = np.zeros(w.size), np.empty(w.size), np.empty(w.size)
     w_views, g_views = global_params.views(w), global_params.views(g)
-    last_epoch_losses: list[float] = []
     phase = f"client {client_id}: local training"
     with naming(phase, NonFiniteError):
         for _ in range(cfg.local_epochs):
@@ -110,7 +109,6 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
                     for vec in (g, u, w):
                         global_params.check_finite(vec)
                 epoch_losses.append(loss)
-            last_epoch_losses = epoch_losses
         params = global_params._adopt(w)  # the last step tested w
         # (w0 - w) * (1 / lr), computed in the step scratch vector
         pseudo_gradient = zip_map(
@@ -125,8 +123,7 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
         client_id=client_id,
         pseudo_gradient=pseudo_gradient,
         num_samples=shard.n,
-        train_loss=float(np.add.reduce(last_epoch_losses)
-                         / len(last_epoch_losses)),
+        train_loss=float(np.add.reduce(epoch_losses) / len(epoch_losses)),
         train_accuracy=train_accuracy,
         local_params=params,
     )

@@ -7,8 +7,9 @@ import pytest
 
 from fedsim import cli
 from fedsim.cli import main
-from fedsim.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS, write_idx
+from fedsim.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS
 from fedsim.reporting import config_from_dict
+from idx_files import write_idx
 
 
 def write_config(tmp_path, doc):

@@ -15,7 +15,6 @@ from fedsim.data import (
     read_idx,
     split_train_test,
     synth_blobs,
-    write_idx,
 )
 from fedsim.errors import (
     EmptyInputError,
@@ -24,6 +23,7 @@ from fedsim.errors import (
     IdxLengthError,
     InsufficientDataError,
 )
+from idx_files import write_idx
 
 
 def write_fixture(tmp_path, pixels, labels, rows=2, cols=2):
@@ -52,19 +52,19 @@ class TestIdx:
         img = tmp_path / "empty.idx"
         img.write_bytes(b"")
         with pytest.raises(IdxLengthError):
-            read_idx(img)
+            read_idx(img, IDX_MAGIC_IMAGES)
 
     def test_truncated_payload(self, tmp_path):
         img = tmp_path / "short.idx"
         img.write_bytes(struct.pack(">IIII", IDX_MAGIC_IMAGES, 2, 2, 2) + b"\x00" * 5)
         with pytest.raises(IdxLengthError):
-            read_idx(img)
+            read_idx(img, IDX_MAGIC_IMAGES)
 
     def test_dimension_product_beyond_int64_is_length_error(self, tmp_path):
         img = tmp_path / "huge.idx"
         write_idx(img, IDX_MAGIC_IMAGES, (4, 2 ** 31, 2 ** 31), np.zeros(0))
         with pytest.raises(IdxLengthError, match=str(2 ** 64)):
-            read_idx(img)
+            read_idx(img, IDX_MAGIC_IMAGES)
 
     def test_wrong_magic_reports_observed_value(self, tmp_path):
         img = tmp_path / "magic.idx"
@@ -83,8 +83,8 @@ class TestIdx:
     def test_round_trip_byte_identical(self, tmp_path):
         pixels = list(range(8))
         img, lbl = write_fixture(tmp_path, pixels, [1, 0])
-        for path in (img, lbl):
-            magic, dims, payload = read_idx(path)
+        for path, magic in ((img, IDX_MAGIC_IMAGES), (lbl, IDX_MAGIC_LABELS)):
+            dims, payload = read_idx(path, magic)
             out = tmp_path / ("re_" + path.name)
             write_idx(out, magic, dims, payload)
             assert out.read_bytes() == path.read_bytes()

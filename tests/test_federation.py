@@ -7,7 +7,7 @@ import pytest
 
 from fedsim import federation, training
 from fedsim.aggregators import AggregatorConfig, fedboosting_aggregate
-from fedsim.data import Dataset, synth_blobs, split_train_test
+from fedsim.data import synth_blobs, split_train_test
 from fedsim.errors import (InsufficientDataError, NonFiniteError, RunError,
                            StructureMismatchError)
 from fedsim.federation import (
@@ -261,7 +261,7 @@ class TestBoostingInputs:
 
     def inputs(self, spec, scales):
         """Models at the given distances from one set of weights, and the
-        validation sets, apart and back to back."""
+        validation sets."""
         rng = np.random.default_rng(5)
         w0 = init_params(spec, 1)
         models = [w0.with_flat(w0.to_flat() + rng.normal(
@@ -272,10 +272,7 @@ class TestBoostingInputs:
         for size in self.SIZES:
             val_sets.append(data.subset(np.arange(size)))
             data = data.subset(np.arange(size, data.n))
-        val_all = Dataset(np.concatenate([v.features for v in val_sets]),
-                          np.concatenate([v.labels for v in val_sets]),
-                          spec.num_classes)
-        return models, val_sets, val_all
+        return models, val_sets
 
     SPECS = [
         ModelSpec("mlp", input_dim=32, num_classes=10, hidden_dim=64),
@@ -290,20 +287,22 @@ class TestBoostingInputs:
         """Entry [i, j] is the share of dataset j's rows whose argmax, in
         one forward pass of model i over all the rows back to back, is
         their label."""
-        models, _, val_all = self.inputs(spec, [0.0, 0.05, 0.25, 1.0])
+        models, val_sets = self.inputs(spec, [0.0, 0.05, 0.25, 1.0])
+        features = np.concatenate([v.features for v in val_sets])
+        labels = np.concatenate([v.labels for v in val_sets])
         bounds = np.cumsum([0, *self.SIZES])
         expected = []
         for model in models:
-            w, h = model.layers(), val_all.features
+            w, h = model.layers(), features
             if spec.kind == "mlp":
                 z = h @ w["hidden_weight"] + w["hidden_bias"]
                 h = (np.maximum(z, 0.0) if spec.activation == "relu"
                      else 1.0 / (1.0 + np.exp(-z)))
             logits = h @ w["out_weight"] + w["out_bias"]
-            correct = np.argmax(logits, axis=1) == val_all.labels
+            correct = np.argmax(logits, axis=1) == labels
             expected.append([correct[a:b].sum() / (b - a)
                              for a, b in zip(bounds[:-1], bounds[1:])])
-        cross_val = cross_accuracy(iter(models), spec, val_all, self.SIZES)
+        cross_val = cross_accuracy(iter(models), spec, val_sets)
         assert np.array_equal(cross_val, np.array(expected))
 
     @pytest.mark.parametrize("spec", SPECS,
@@ -312,20 +311,20 @@ class TestBoostingInputs:
         """Holds for these inputs. BLAS does not promise it in general: a
         block's logits may differ in their last bits from those of the
         block scored alone, so an argmax at a near tie could differ."""
-        models, val_sets, val_all = self.inputs(spec, [0.0, 0.05, 0.25, 1.0])
-        cross_val = cross_accuracy(iter(models), spec, val_all, self.SIZES)
+        models, val_sets = self.inputs(spec, [0.0, 0.05, 0.25, 1.0])
+        cross_val = cross_accuracy(iter(models), spec, val_sets)
         expected = np.array([[evaluate(model, spec, val)[0] for val in val_sets]
                              for model in models])
         assert np.array_equal(cross_val, expected)
 
     def test_overflowing_local_weights_raise_non_finite(self):
         spec = ModelSpec("mlp", input_dim=32, num_classes=10, hidden_dim=64)
-        models, val_sets, val_all = self.inputs(spec, [0.05, 5e304])
+        models, val_sets = self.inputs(spec, [0.05, 5e304])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="evaluate: non-finite loss"):
                 evaluate(models[1], spec, val_sets[0])
             with pytest.raises(NonFiniteError, match="evaluate: non-finite loss"):
-                cross_accuracy(models, spec, val_all, self.SIZES)
+                cross_accuracy(models, spec, val_sets)
 
     def test_run_passes_each_clients_inputs_to_the_strategy(self, monkeypatch):
         """What a fedboosting run hands fedboosting_aggregate: the clients'

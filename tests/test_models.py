@@ -257,7 +257,8 @@ class TestAccuracyOnly:
                 evaluate(params, self.SPEC, data, loss=False)
             with pytest.raises(NonFiniteError,
                                match="evaluate: non-finite loss"):
-                cross_accuracy([params], self.SPEC, data, [1, 3])
+                cross_accuracy([params], self.SPEC,
+                               [data.subset([0]), data.subset([1, 2, 3])])
 
     def test_logits_over_the_bound_with_a_finite_loss_score(self):
         """|logit| * rows = 4e301 > 1e300, so the loss is computed: it is
@@ -266,7 +267,8 @@ class TestAccuracyOnly:
         assert evaluate(params, self.SPEC, data)[0] == 0.5
         assert evaluate(params, self.SPEC, data, loss=False) == (0.5, None)
         assert np.array_equal(
-            cross_accuracy([params], self.SPEC, data, [1, 3]),
+            cross_accuracy([params], self.SPEC,
+                           [data.subset([0]), data.subset([1, 2, 3])]),
             [[1.0, 1 / 3]])
 
     def test_nan_logits_raise(self):
@@ -278,4 +280,5 @@ class TestAccuracyOnly:
                 evaluate(params, self.SPEC, data, loss=False)
             with pytest.raises(NonFiniteError,
                                match="evaluate: non-finite loss"):
-                cross_accuracy([params], self.SPEC, data, [1, 1])
+                cross_accuracy([params], self.SPEC,
+                               [data.subset([0]), data.subset([1])])
