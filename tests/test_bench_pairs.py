@@ -24,6 +24,10 @@ def result(round_ms_min, acc, correct=True, passes=40):
         "final_test_acc": {"value": acc, "unit": "share"}}}}
 
 
+CONDITIONS = {"PYTHONDONTWRITEBYTECODE": "1",
+              "src_fedsim_lines": {"parent": 1718, "change": 1695}}
+
+
 def run(side, pair, record):
     return {"side": side, "workload": "skew_c100", "seed": 0, "pair": pair,
             "position": 1 if (side == "parent") == (pair % 2 == 1) else 2,
@@ -99,12 +103,15 @@ def test_each_metric_gets_its_verdict_and_a_table_line():
     entry = summary["skew_c100/seed0"]
     assert entry["round_ms_min"]["verdict"] == "gain"
     assert entry["final_test_acc"]["verdict"] == "no worse"
-    header, ms_line, acc_line, passes_line = bench_pairs.table(summary)
+    header, ms_line, acc_line, passes_line = bench_pairs.table(summary,
+                                                                CONDITIONS)
     assert header.split()[:2] == ["workload/seed", "metric"]
     assert ms_line.split() == ["skew_c100/seed0", "round_ms_min", "25.5",
                                "15.5", "0.608", "10/10", "gain"]
     assert acc_line.split()[-2:] == ["no", "worse"]
-    assert passes_line.split() == ["skew_c100/seed0", "passes", "40", "40"]
+    assert passes_line.split() == ["skew_c100/seed0", "passes", "40", "40",
+                                   "src/fedsim", "lines", "1718/1695",
+                                   "PYTHONDONTWRITEBYTECODE=1"]
 
 
 def test_each_side_records_its_median_passes():
@@ -118,9 +125,39 @@ def test_each_side_records_its_median_passes():
             run("change", 3, result(18.0, 0.9, passes=71))]
     summary = bench_pairs.assemble(runs, METRICS)["summary"]
     assert summary["skew_c100/seed0"]["passes"] == {"parent": 49, "change": 70}
-    assert bench_pairs.table(summary)[-1].split() == [
-        "skew_c100/seed0", "passes", "49", "70"]
+    assert bench_pairs.table(summary, CONDITIONS)[-1].split() == [
+        "skew_c100/seed0", "passes", "49", "70", "src/fedsim", "lines",
+        "1718/1695", "PYTHONDONTWRITEBYTECODE=1"]
     failed = bench_pairs.assemble([run("parent", 1, None),
                                    run("change", 1, result(18.0, 0.9))], METRICS)
     assert failed["summary"]["skew_c100/seed0"]["passes"] == {
         "parent": None, "change": 40}
+
+
+def test_conditions_count_each_sides_source_lines_and_read_the_bytecode_flag(
+        tmp_path, monkeypatch):
+    """setup_s re-imports fedsim, so the record keeps what that import
+    depends on beyond the code: the sources' size and whether the runs
+    may cache bytecode. Lines count as `wc -l` counts them."""
+    trees = {side: tmp_path / side for side in bench_pairs.SIDES}
+    sources = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
+               "change": {"a.py": "x = 1\n", "b.py": "z = 3\n",
+                          "c.py": "\n\nw = 4"}}
+    for side, files in sources.items():
+        package = trees[side] / "src" / "fedsim"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+        (package / "notes.txt").write_text("not\nsource\n")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.conditions(trees) == {
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "src_fedsim_lines": {"parent": 3, "change": 4}}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    unset = bench_pairs.conditions(trees)
+    assert unset["PYTHONDONTWRITEBYTECODE"] is None
+    summary = bench_pairs.assemble([run("parent", 1, result(20.0, 0.9)),
+                                    run("change", 1, result(18.0, 0.9))],
+                                   METRICS)["summary"]
+    assert bench_pairs.table(summary, unset)[-1].split()[4:] == [
+        "src/fedsim", "lines", "3/4", "PYTHONDONTWRITEBYTECODE=unset"]

@@ -30,6 +30,12 @@ verdict, which is printed as a table at the end, with the passes:
                 every change run reads better than every parent run
     no worse    otherwise
 
+Beside the passes, the record and the table hold two conditions that
+perfbench's `setup_s` depends on beyond the code it runs: each side's
+`src/fedsim` line count, and the runs' `PYTHONDONTWRITEBYTECODE`, which,
+when set, makes each of the set-up's fresh imports compile fedsim from
+source.
+
 The exit status is 1 if any run failed or reported `correct: false`.
 """
 from __future__ import annotations
@@ -115,10 +121,24 @@ def verdict(both: list[tuple[float, float]], better: str,
     return "no worse"
 
 
-def table(summary: dict) -> list[str]:
+def conditions(trees: dict[str, Path]) -> dict:
+    """The runs' PYTHONDONTWRITEBYTECODE (None when unset) and each side's
+    src/fedsim line count, as `wc -l` counts them."""
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "src_fedsim_lines": {
+                side: sum(path.read_bytes().count(b"\n")
+                          for path in (tree / "src" / "fedsim").glob("*.py"))
+                for side, tree in trees.items()}}
+
+
+def table(summary: dict, conditions: dict) -> list[str]:
     """One line per workload, seed and metric: both medians, the ratio, the
     pairs the change won and the verdict; then, per workload and seed, both
-    sides' median passes."""
+    sides' median passes beside the conditions."""
+    counts = conditions["src_fedsim_lines"]
+    flag = conditions["PYTHONDONTWRITEBYTECODE"]
+    beside = (f"src/fedsim lines {counts['parent']}/{counts['change']}  "
+              f"PYTHONDONTWRITEBYTECODE={'unset' if flag is None else flag}")
     lines = [f"{'workload/seed':<18} {'metric':<22} {'parent':>10} "
              f"{'change':>10} {'ratio':>7} {'won':>6}  verdict"]
     for key, entry in summary.items():
@@ -131,7 +151,8 @@ def table(summary: dict) -> list[str]:
                     f"{m['change_better_in_pairs']:>6}  {m['verdict']}")
         parent, change = ("-" if n is None else f"{n:g}"
                           for n in entry["passes"].values())
-        lines.append(f"{key:<18} {'passes':<22} {parent:>10} {change:>10}")
+        lines.append(f"{key:<18} {'passes':<22} {parent:>10} {change:>10}  "
+                     f"{beside}")
     return lines
 
 
@@ -213,6 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: base / side for side in SIDES}
         for side in SIDES:
             checkout(revs[side], trees[side])
+        setup = conditions(trees)
         runs = []
         for workload in args.workload:
             for seed in args.seed:
@@ -235,11 +257,12 @@ def main(argv: list[str] | None = None) -> int:
                      "the parent first in odd pairs; each side runs from its "
                      "own git archive checkout, in sibling directories of "
                      "equal path length."),
+        "conditions": setup,
         **assemble(runs, metrics),
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    print("\n".join(table(record["summary"])))
+    print("\n".join(table(record["summary"], setup)))
     failed = sum(e["failed_runs"] for e in record["summary"].values())
     return 1 if failed else 0
 
