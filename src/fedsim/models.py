@@ -91,21 +91,18 @@ def _mean_loss(label_log_probs: np.ndarray) -> float:
 
 
 def _forward(w: dict[str, np.ndarray], spec: ModelSpec, x: np.ndarray):
-    """Returns (logits, output-layer input). The MLP applies its hidden
-    activation in place, to a new pre-activation array that becomes the
-    output-layer input; softmax regression has no hidden layer, so it
-    returns (logits, x)."""
+    """Returns (logits, output-layer input). The MLP applies ReLU in place,
+    to its new pre-activation array, since every benchmark workload runs
+    ReLU; sigmoid, which none runs, is its formula as written. Softmax
+    regression has no hidden layer, so it returns (logits, x)."""
     h = x
     if spec.kind == MLP:
         h = x @ w["hidden_weight"]
         h += w["hidden_bias"]
         if spec.activation == "relu":
             np.maximum(h, 0.0, out=h)
-        else:  # 1 / (1 + exp(-z)), operation by operation
-            np.negative(h, out=h)
-            np.exp(h, out=h)
-            h += 1.0
-            np.divide(1.0, h, out=h)
+        else:
+            h = 1.0 / (1.0 + np.exp(-h))
     logits = h @ w["out_weight"]
     logits += w["out_bias"]
     return logits, h
@@ -115,7 +112,8 @@ def _loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
                         g: dict[str, np.ndarray], x: np.ndarray,
                         y: np.ndarray) -> float:
     """Mean cross-entropy of rows x with labels y; writes its analytic
-    gradient into the arrays of g.
+    gradient into the arrays of g. ReLU's backward masks dz1 in place, like
+    its forward.
 
     w and g map each layer name to an array in the spec's shape. Every
     element-wise expression keeps the operation order of the reference
@@ -137,8 +135,7 @@ def _loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
         if spec.activation == "relu":
             dz1 *= h > 0.0  # True exactly where the pre-activation is > 0
         else:
-            dz1 *= h
-            dz1 *= 1.0 - h
+            dz1 = dz1 * h * (1.0 - h)
         np.matmul(x.T, dz1, out=g["hidden_weight"])
         np.add.reduce(dz1, axis=0, out=g["hidden_bias"])
     return loss

@@ -174,7 +174,7 @@ def l2_norm(a: ParameterSet) -> float:
 
 def column_softmax(mat: np.ndarray) -> np.ndarray:
     """Softmax down every column of a (C, P) array, or over a (C,) array,
-    in place.
+    in place, as ewwa's blocks on skew_c100 need no second array.
 
     The column maximum is subtracted before exponentiation.
     """

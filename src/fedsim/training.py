@@ -77,7 +77,8 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     """One round of local SGD-with-momentum; velocity starts at zero.
 
     The weights w, velocity u and gradient g live in private writable
-    vectors that every step updates in place. A step fails on the first of
+    vectors that every step updates in place, as every benchmark workload
+    spends most of its rounds here. A step fails on the first of
     g, u and w, in that order, that holds NaN or Inf, naming its first
     such layer, as building them as ParameterSets would. Only w is tested
     unless it fails: u and w were finite after the previous step, momentum
