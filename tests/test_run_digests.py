@@ -9,11 +9,16 @@ IID and label-skewed partitions whose shards differ in size (so that
 fedadp's weights differ from fedavg's).
 
 The pins hold for the NumPy and BLAS named in PINNED_STACK; they do not
-depend on the BLAS thread count. To print fresh pins for the running stack:
+depend on the BLAS thread count, which a test checks by running the script
+below with one OpenBLAS thread. To print fresh pins for the running stack:
 
     PYTHONPATH=src python3 tests/test_run_digests.py
 """
 import hashlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +122,20 @@ def test_every_config_gives_its_own_output():
     unequal shards included."""
     assert PINS.keys() == CONFIGS.keys()
     assert len(set(PINS.values())) == len(PINS)
+
+
+def test_one_blas_thread_prints_the_digests_of_this_process(tmp_path):
+    """This file's script mode, run in a child whose environment alone asks
+    for one OpenBLAS thread, prints every config's digest as this process
+    computes it with its own thread count."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": "src"}
+    child = subprocess.run([sys.executable, __file__],
+                           cwd=Path(__file__).resolve().parent.parent,
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    printed = dict(re.findall(r'"([\w-]+)":\s+"([0-9a-f]{64})"', child.stdout))
+    assert printed == {name: metrics_digest(doc, tmp_path / name)
+                       for name, doc in CONFIGS.items()}
 
 
 if __name__ == "__main__":
