@@ -137,8 +137,8 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, spread: float,
     """Isotropic Gaussian blobs at fixed class centers."""
     if num_classes < 1 or per_class < 1 or dim < 1:
         raise ValueError("counts must be >= 1")
-    if spread <= 0:
-        raise ValueError("spread must be > 0")
+    if not 0 < spread < math.inf:
+        raise ValueError("spread must be > 0 and finite")
     rng = np.random.default_rng(seed)
     feats = np.empty((num_classes * per_class, dim))
     labels = np.empty(num_classes * per_class, dtype=np.int64)
@@ -183,10 +183,14 @@ def partition_iid(train: Dataset, num_clients: int, seed: int) -> Partition:
 def partition_label_skew(train: Dataset, num_clients: int, concentration: float,
                          seed: int) -> Partition:
     """Dirichlet label skew: each class is split among clients by
-    proportions drawn from a symmetric Dirichlet(concentration)."""
+    proportions drawn from a symmetric Dirichlet(concentration).
+
+    NumPy's draw is all zeros once concentration * num_clients overflows, so
+    a draw that does not sum to 1 is an error, not a partition.
+    """
     _check_clients(train, num_clients)
-    if concentration <= 0:
-        raise ValueError("concentration must be > 0")
+    if not 0 < concentration < math.inf:
+        raise ValueError("concentration must be > 0 and finite")
     rng = np.random.default_rng(seed)
     shards: list[list[int]] = [[] for _ in range(num_clients)]
     for k in range(train.num_classes):
@@ -195,6 +199,9 @@ def partition_label_skew(train: Dataset, num_clients: int, concentration: float,
             continue
         idx = rng.permutation(idx)
         props = rng.dirichlet(np.full(num_clients, concentration))
+        if not abs(props.sum() - 1.0) < 1e-9:
+            raise ValueError(f"concentration {concentration} must give "
+                             f"{num_clients} clients a Dirichlet draw summing to 1")
         cuts = np.floor(np.cumsum(props) * idx.size).astype(np.int64)[:-1]
         for c, chunk in enumerate(np.split(idx, cuts)):
             shards[c].extend(chunk.tolist())

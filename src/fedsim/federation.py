@@ -75,8 +75,8 @@ class FederationConfig:
         if self.synth_classes < 2:
             raise ValueError("synth_classes must be >= 2")
         for key in ("concentration", "synth_spread", "global_step_scale"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be > 0")
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be > 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -146,8 +146,11 @@ def build_partition(cfg: FederationConfig, data: Dataset):
     if cfg.partition == "iid":
         partition = partition_iid(train, cfg.num_clients, cfg.seed)
     else:
-        partition = partition_label_skew(train, cfg.num_clients,
-                                         cfg.concentration, cfg.seed)
+        try:
+            partition = partition_label_skew(train, cfg.num_clients,
+                                             cfg.concentration, cfg.seed)
+        except ValueError as exc:  # a concentration that overflows the draw
+            raise ConfigError(str(exc)) from exc
     return test, [train.subset(idx) for idx in partition.shards]
 
 

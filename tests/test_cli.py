@@ -71,17 +71,20 @@ def test_config_error_exit_code(tmp_path, capsys):
              # runs that would train until killed
              ("rounds", 10 ** 6 + 1), ("rounds", 10 ** 39),
              ("local_epochs", 10 ** 6 + 1)]
-    for key, value in cases:
-        cfg_path = write_config(tmp_path, {key: value})
+    # a Dirichlet draw that is all zeros, as concentration x clients overflows
+    zero_draw = {"partition": "label_skew", "concentration": 1e308}
+    # each doc's last key is the one its error names
+    for doc in [{key: value} for key, value in cases] + [zero_draw]:
+        cfg_path = write_config(tmp_path, doc)
         code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 1
-        assert key in assert_one_line_error(capsys, "config error: ")
+        assert list(doc)[-1] in assert_one_line_error(capsys, "config error: ")
     # the data is checked before any model is built
-    for key, value in [("synth_spread", 1e308), ("rounds", 10 ** 39),
-                       ("local_epochs", 10 ** 6 + 1)]:
-        cfg_path = write_config(tmp_path, {key: value})
+    for doc in [{"synth_spread": 1e308}, {"rounds": 10 ** 39},
+                {"local_epochs": 10 ** 6 + 1}, zero_draw]:
+        cfg_path = write_config(tmp_path, doc)
         assert main(["partition-preview", "--config", cfg_path]) == 1
-        assert key in assert_one_line_error(capsys, "config error: ")
+        assert list(doc)[-1] in assert_one_line_error(capsys, "config error: ")
     # the bound itself is a valid run length
     cfg = config_from_dict({"rounds": 10 ** 6, "local_epochs": 10 ** 6})
     assert (cfg.rounds, cfg.local.local_epochs) == (10 ** 6, 10 ** 6)

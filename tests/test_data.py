@@ -119,6 +119,11 @@ class TestSynthBlobs:
         with pytest.raises(ValueError):
             synth_blobs(2, 5, 3, 0.0, 0)
 
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf")])
+    def test_non_finite_spread_is_rejected(self, spread):
+        with pytest.raises(ValueError, match="spread must be > 0 and finite"):
+            synth_blobs(3, 5, 2, spread, 0)
+
 
 class TestSplit:
     def test_paper_ratio_sizes(self):
@@ -204,6 +209,20 @@ class TestPartitionLabelSkew:
         for hist in shard_histograms(data, part):
             frac = hist / hist.sum()
             assert np.max(np.abs(frac - global_frac)) < 0.05
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("concentration, message", [
+        (float("nan"), "concentration must be > 0 and finite"),
+        (float("inf"), "concentration must be > 0 and finite"),
+        # concentration x clients overflows, and NumPy draws all zeros
+        (1e308, "concentration 1e\\+308 must give 3 clients a Dirichlet "
+                "draw summing to 1"),
+    ])
+    def test_concentration_without_a_probability_draw_is_rejected(
+            self, concentration, message):
+        data = synth_blobs(3, 10, 2, 0.5, 0)
+        with pytest.raises(ValueError, match=message):
+            partition_label_skew(data, 3, concentration, seed=0)
 
     def test_low_concentration_starves_classes(self):
         data = synth_blobs(10, 100, 2, 0.5, 1)

@@ -8,8 +8,8 @@ import pytest
 from fedsim import federation, training
 from fedsim.aggregators import AggregatorConfig, fedboosting_aggregate
 from fedsim.data import synth_blobs, split_train_test
-from fedsim.errors import (InsufficientDataError, NonFiniteError, RunError,
-                           StructureMismatchError)
+from fedsim.errors import (ConfigError, InsufficientDataError, NonFiniteError,
+                           RunError, StructureMismatchError)
 from fedsim.federation import (
     FederationConfig,
     TRAIN_RATIO,
@@ -77,6 +77,21 @@ class TestRunFederation:
     def test_nan_is_rejected_by_the_python_api(self, make):
         with pytest.raises(ValueError, match="must be > 0"):
             make(float("nan"))
+
+    @pytest.mark.parametrize("key", ["concentration", "synth_spread",
+                                     "global_step_scale"])
+    def test_inf_is_rejected_by_the_python_api(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be > 0 and finite"):
+            FederationConfig(**{key: float("inf")})
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_concentration_whose_draw_overflows_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^concentration 1e\\+308 must"):
+            run_federation(small_cfg(partition="label_skew", concentration=1e308))
+        # a tiny concentration draws extreme but valid proportions
+        cfg = small_cfg(partition="label_skew", concentration=1e-300)
+        _, shards = build_partition(cfg, federation.load_source(cfg))
+        assert sum(shard.n for shard in shards) == 108
 
     def test_deterministic_records(self):
         a = run_federation(small_cfg())
