@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -379,6 +380,51 @@ class TestFedAdp:
         g_out, _ = fedadp_aggregate([aligned, skewed], state, self.cfg(), g_mean)
         # weighted sum leans toward the aligned client's direction
         assert g_out.to_flat()[0] > g_out.to_flat()[1]
+
+
+def loop_fedadp_oracle(rounds, alpha):
+    """fedadp as the README's "fedadp as implemented" states it, one float
+    at a time. rounds holds each round's client gradients as lists of
+    floats, in client order; returns each round's G and smoothed angles."""
+    smoothed, out = {}, []
+    for r, grads in enumerate(rounds, start=1):
+        c, p = len(grads), len(grads[0])
+        g_mean = [sum(g[k] for g in grads) / c for k in range(p)]
+        norm_mean = math.sqrt(sum(x * x for x in g_mean))
+        contribs = []
+        for cid, g in enumerate(grads):
+            cos = sum(a * b for a, b in zip(g, g_mean)) / (
+                math.sqrt(sum(x * x for x in g)) * norm_mean)
+            theta = math.acos(max(-1.0, min(1.0, cos)))
+            smoothed[cid] = ((r - 1) * smoothed.get(cid, 0.0) + theta) / r
+            contribs.append(alpha * (1.0 - math.exp(-math.exp(
+                alpha * (1.0 - smoothed[cid])))))
+        exps = [math.exp(x - max(contribs)) for x in contribs]
+        weights = [x / sum(exps) for x in exps]
+        out.append(([sum(w * g[k] for w, g in zip(weights, grads))
+                     for k in range(p)], dict(smoothed)))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [5.0, 1.5])
+def test_fedadp_matches_its_loop_reference(alpha):
+    """Over several rounds of unequal shards, aggregate's fedadp gives the
+    G and smoothed angles of the loop reference; shard sizes do not enter."""
+    rng = np.random.default_rng(23)
+    cfg = AggregatorConfig(strategy="fedadp", adp_alpha=alpha)
+    rounds = [[rng.normal(size=30) + rng.normal(size=30) * rng.uniform(0, 3)
+               for _ in range(5)] for _ in range(6)]
+    state = initial_state(ps(*np.zeros(30)))
+    expected = loop_fedadp_oracle([[list(g) for g in grads] for grads in rounds],
+                                  alpha)
+    for grads, (big_g, angles) in zip(rounds, expected):
+        updates = [upd(cid, g, n=int(rng.integers(1, 500)))
+                   for cid, g in enumerate(grads)]
+        out, state = aggregate(updates[::-1], state, cfg)
+        np.testing.assert_allclose(out.to_flat(), big_g, rtol=0, atol=1e-12)
+        assert state.smoothed_angles.keys() == angles.keys()
+        np.testing.assert_allclose([state.smoothed_angles[c] for c in angles],
+                                   list(angles.values()), rtol=0, atol=1e-12)
 
 
 def scalar_boosting_oracle(train_metrics, cross_val):
