@@ -92,7 +92,7 @@ def test_quartiles_direction_and_failed_runs():
 ])
 def test_verdicts(parent, change, better, expected):
     both = list(zip(map(float, parent), map(float, change)))
-    assert bench_pairs.verdict(both, better, 0.25) == expected
+    assert bench_pairs.compare(both, better, 0.25)["verdict"] == expected
 
 
 def test_each_metric_gets_its_verdict_and_a_table_line():

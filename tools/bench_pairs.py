@@ -100,25 +100,34 @@ def _value(run: dict, metric: str) -> float | None:
     return None if record is None else record["result"]["metrics"][metric]["value"]
 
 
-def verdict(both: list[tuple[float, float]], better: str,
-            bound: float) -> str:
-    """gain, worse, unresolved or no worse (see the module docstring) for
-    one metric's (parent, change) pairs; bound is a share of the parent's
-    median."""
+def compare(both: list[tuple[float, float]], better: str,
+            bound: float) -> dict:
+    """One metric's entry from its (parent, change) pairs: both sides'
+    medians and quartiles, the change/parent ratio of the medians, the
+    parent's quartile spread, the pairs the change won and the verdict,
+    gain, worse, unresolved or no worse (see the module docstring); bound
+    is a share of the parent's median."""
     sign = 1 if better == "lower" else -1
     parent = _stats([a for a, _ in both])
-    gap = sign * (parent["median"] - statistics.median(b for _, b in both))
+    change = _stats([b for _, b in both])
+    gap = sign * (parent["median"] - change["median"])
     spread = parent["q3"] - parent["q1"]
     wins = sum(sign * (a - b) > 0 for a, b in both)
     limit = bound * abs(parent["median"])
     if 10 * wins >= 9 * len(both) and gap > spread:
-        return "gain"
-    if -gap > limit:
-        return "worse"
-    if spread > limit and not all(sign * (a - b) > 0
-                                  for a, _ in both for _, b in both):
-        return "unresolved"
-    return "no worse"
+        verdict = "gain"
+    elif -gap > limit:
+        verdict = "worse"
+    elif spread > limit and not all(sign * (a - b) > 0
+                                    for a, _ in both for _, b in both):
+        verdict = "unresolved"
+    else:
+        verdict = "no worse"
+    return {"parent": parent, "change": change,
+            "ratio": (change["median"] / parent["median"]
+                      if parent["median"] else None),
+            "parent_quartile_spread": spread, "bound": bound, "better": better,
+            "change_better_in_pairs": f"{wins}/{len(both)}", "verdict": verdict}
 
 
 def conditions(trees: dict[str, Path]) -> dict:
@@ -190,23 +199,8 @@ def assemble(runs: list[dict], metrics: list[dict]) -> dict:
             both = [(_value(p["parent"], m["name"]), _value(p["change"], m["name"]))
                     for p in pairs.values() if set(p) == set(SIDES)]
             both = [(a, b) for a, b in both if a is not None and b is not None]
-            if not both:
-                continue
-            parent = _stats([a for a, _ in both])
-            change = _stats([b for _, b in both])
-            sign = 1 if m["better"] == "lower" else -1
-            better = sum(sign * (a - b) > 0 for a, b in both)
-            entry[m["name"]] = {
-                "parent": parent,
-                "change": change,
-                "ratio": (change["median"] / parent["median"]
-                          if parent["median"] else None),
-                "parent_quartile_spread": parent["q3"] - parent["q1"],
-                "bound": m["bound"],
-                "better": m["better"],
-                "change_better_in_pairs": f"{better}/{len(both)}",
-                "verdict": verdict(both, m["better"], m["bound"]),
-            }
+            if both:
+                entry[m["name"]] = compare(both, m["better"], m["bound"])
         summary[f"{workload}/seed{seed}"] = entry
     return {"host": hosts[0] if len(hosts) == 1 else hosts, "summary": summary}
 
