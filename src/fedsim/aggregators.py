@@ -197,7 +197,7 @@ def ewwa_aggregate(updates: list[ClientUpdate], state: AggregatorState,
     m_mean, v_mean, big_g = (np.empty(m_prev.size) for _ in range(3))
     p_all = np.empty((c, m_prev.size)) if return_proportions else None
     for lo, hi in _column_blocks(c, m_prev.size):
-        g = np.stack([row[lo:hi] for row in grads])
+        g = np.concatenate([row[lo:hi] for row in grads]).reshape(c, hi - lo)
         m = _first_moment(m_prev[lo:hi], g, cfg.beta1)
         v = _second_moment(cfg.variant, v_prev[lo:hi], g, cfg.beta2)
         m_mean[lo:hi] = m.sum(axis=0) * (1.0 / c)

@@ -69,19 +69,21 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterSet:
     return ParameterSet(layers)
 
 
-def _softmax_parts(logits: np.ndarray, y: np.ndarray, rows: np.ndarray):
-    """exp of the row-max-shifted logits, its row sums, and each row's
-    log-softmax at its label; one exp serves the loss and the softmax.
-    rows is np.arange of the row count.
+def _softmax_parts(logits: np.ndarray, y: np.ndarray):
+    """exp of the row-max-shifted logits, its row sums, each row's
+    log-softmax at its label, and the labels' flat indices into the logits;
+    one exp serves the loss and the softmax.
 
     The log-softmax is taken from the shifted logits directly, which keeps
-    it finite where the softmax itself underflows.
+    it finite where the softmax itself underflows. The row max reduces a
+    transposed copy along axis 0: faster than axis 1, and exact in any order.
     """
-    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    label_z = e[rows, y]
+    label_at = np.arange(0, logits.size, logits.shape[1]) + y
+    e = logits - np.maximum.reduce(logits.T.copy(), axis=0)[:, None]
+    label_z = e.take(label_at)
     np.exp(e, out=e)
     row_sums = np.add.reduce(e, axis=1, keepdims=True)
-    return e, row_sums, label_z - np.log(row_sums[:, 0])
+    return e, row_sums, label_z - np.log(row_sums[:, 0]), label_at
 
 
 def _mean_loss(label_log_probs: np.ndarray) -> float:
@@ -121,12 +123,11 @@ def _loss_and_grad_into(spec: ModelSpec, w: dict[str, np.ndarray],
     match it bit for bit.
     """
     n = x.shape[0]
-    rows = np.arange(n)
     logits, h = _forward(w, spec, x)
-    dlogits, row_sums, label_log_probs = _softmax_parts(logits, y, rows)
+    dlogits, row_sums, label_log_probs, label_at = _softmax_parts(logits, y)
     loss = _mean_loss(label_log_probs)
     dlogits /= row_sums
-    dlogits[rows, y] -= 1.0
+    dlogits.reshape(-1)[label_at] -= 1.0
     dlogits /= n
     np.matmul(h.T, dlogits, out=g["out_weight"])
     np.add.reduce(dlogits, axis=0, out=g["out_bias"])
@@ -176,7 +177,7 @@ def _block_scores(params: ParameterSet, spec: ModelSpec, data,
     n = logits.shape[0]
     losses = None
     if loss or not np.maximum.reduce(np.abs(logits), axis=None) * n <= 1e300:
-        log_probs = _softmax_parts(logits, data.labels, np.arange(n))[2]
+        log_probs = _softmax_parts(logits, data.labels)[2]
         losses = [_mean_loss(log_probs[start:stop])
                   for start, stop in zip(bounds[:-1], bounds[1:])]
         if not all(map(np.isfinite, losses)):

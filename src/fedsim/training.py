@@ -7,6 +7,7 @@ to the analytic gradient.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,11 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     such layer, as building them as ParameterSets would. Only w is tested
     unless it fails: u and w were finite after the previous step, momentum
     lies in [0, 1) and lr > 0, so a NaN or Inf in g makes u non-finite at
-    that index, and one in u makes w non-finite there.
-    The update holds the final weights as local_params. Its
-    train_accuracy scores them on the shard when it is first read, and
-    names the client in a NonFiniteError as training does.
+    that index, and one in u makes w non-finite there. w's test is its sum
+    of squares (np.vdot, which unlike @ warns of no overflow), then
+    np.isfinite(w) if that sum is not finite. The update holds the final
+    weights as local_params; its train_accuracy scores them on the shard
+    when first read, naming the client in a NonFiniteError as training does.
     """
     rng = np.random.default_rng(seed)
     w = global_params.to_flat()
@@ -96,7 +98,8 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     with naming(phase, NonFiniteError):
         for _ in range(cfg.local_epochs):
             order = rng.permutation(shard.n)
-            features, labels = shard.features[order], shard.labels[order]
+            features = shard.features.take(order, axis=0)
+            labels = shard.labels.take(order)
             epoch_losses = []
             for start in range(0, shard.n, cfg.batch_size):
                 stop = start + cfg.batch_size
@@ -106,7 +109,7 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
                 u += g
                 np.multiply(cfg.lr, u, out=step)
                 w -= step
-                if not np.isfinite(w).all():
+                if not math.isfinite(np.vdot(w, w)) and not np.isfinite(w).all():
                     for vec in (g, u, w):
                         global_params.check_finite(vec)
                 epoch_losses.append(loss)

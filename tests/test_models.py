@@ -8,6 +8,7 @@ from fedsim.errors import EmptyInputError, NonFiniteError
 from fedsim.models import (
     Batch,
     ModelSpec,
+    _forward,
     cross_accuracy,
     evaluate,
     init_params,
@@ -282,3 +283,69 @@ class TestAccuracyOnly:
                                match="evaluate: non-finite loss"):
                 cross_accuracy([params], self.SPEC,
                                [data.subset([0]), data.subset([1])])
+
+
+# The kernel as it indexed the labels through 2-D fancy indexes and took the
+# row max along axis 1; the flat label index and the transposed row max must
+# give the same bits.
+
+def _fancy_index_softmax_parts(logits, y):
+    rows = np.arange(logits.shape[0])
+    e = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    label_z = e[rows, y]
+    np.exp(e, out=e)
+    row_sums = np.add.reduce(e, axis=1, keepdims=True)
+    return e, row_sums, label_z - np.log(row_sums[:, 0])
+
+
+def _fancy_index_loss_and_grad(spec, params, x, y):
+    w = params.layers()
+    n = x.shape[0]
+    logits, h = _forward(w, spec, x)
+    dlogits, row_sums, label_log_probs = _fancy_index_softmax_parts(logits, y)
+    loss = float(-(np.add.reduce(label_log_probs) / n))
+    dlogits /= row_sums
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    g = {"out_weight": h.T @ dlogits,
+         "out_bias": np.add.reduce(dlogits, axis=0)}
+    if spec.kind == "mlp":
+        dz1 = dlogits @ w["out_weight"].T
+        if spec.activation == "relu":
+            dz1 *= h > 0.0
+        else:
+            dz1 = dz1 * h * (1.0 - h)
+        g["hidden_weight"] = x.T @ dz1
+        g["hidden_bias"] = np.add.reduce(dz1, axis=0)
+    return loss, g
+
+
+def _fancy_index_eval_loss(spec, params, x, y):
+    logits, _ = _forward(params.layers(), spec, x)
+    log_probs = _fancy_index_softmax_parts(logits, y)[2]
+    return float(-(np.add.reduce(log_probs) / x.shape[0]))
+
+
+@pytest.mark.parametrize("kind, activation", [
+    ("mlp", "relu"), ("mlp", "sigmoid"), ("softmax_regression", "relu")])
+@pytest.mark.parametrize("classes", [2, 10])
+def test_kernel_is_bit_identical_to_the_fancy_index_form(kind, activation,
+                                                         classes):
+    spec = ModelSpec(kind, input_dim=6, num_classes=classes,
+                     hidden_dim=8 if kind == "mlp" else 0,
+                     activation=activation)
+    rng = np.random.default_rng(classes)
+    params = init_params(spec, 2)
+    # spread the logits, so that rows differ in their max and label columns
+    params = params.with_flat(params.to_flat() * 4.0 + rng.normal(
+        size=params.to_flat().size))
+    for n in (1, 2, 7, 63, 64):
+        batch = random_batch(rng, spec, n)
+        loss, grad = loss_and_grad(params, spec, batch)
+        ref_loss, ref_grad = _fancy_index_loss_and_grad(
+            spec, params, batch.features, batch.labels)
+        assert loss == ref_loss
+        for name, layer in grad.layers().items():
+            assert np.array_equal(layer, ref_grad[name]), (n, name)
+        assert evaluate(params, spec, batch)[1] == _fancy_index_eval_loss(
+            spec, params, batch.features, batch.labels)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,24 @@ def test_divergence_names_the_client_and_the_phase():
     assert str(err.value).startswith("client 3: local training: layer '")
     assert str(err.value).endswith("': non-finite values")
 
+
+
+def test_weights_whose_squared_norm_overflows_keep_training():
+    """Each step tests the weights' sum of squares; one that overflows on
+    finite weights falls back to the element-wise test and trains on."""
+    spec = REF_SPECS[2]
+    params = init_params(spec, 0)
+    flat = params.to_flat()
+    params.views(flat)["out_bias"][...] = [1e200, -1e200, 0.0]
+    params = params.with_flat(flat)
+    assert not math.isfinite(np.vdot(flat, flat))
+    shard = make_shard(seed=1)
+    cfg = LocalConfig(lr=0.1, batch_size=5)
+    update = train_local(params, spec, shard, cfg, seed=3)
+    pseudo, loss, _, final = _ref_train_local(params, spec, shard, cfg, seed=3)
+    assert np.array_equal(update.local_params.to_flat(), final.to_flat())
+    assert np.array_equal(update.pseudo_gradient.to_flat(), pseudo.to_flat())
+    assert update.train_loss == loss
 
 def _layer_named_by_divergence(monkeypatch, fill_gradient, cfg):
     """The message train_local raises on softmax regression when each
