@@ -11,6 +11,7 @@ included).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -33,7 +34,12 @@ def _cmd_run(args) -> int:
     with _writing(out):  # an unwritable --out fails before training
         out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    records = run_federation(cfg)
+    try:
+        records = run_federation(cfg)
+    except ConfigError:  # bad data leaves no run directory; rmdir keeps files
+        with contextlib.suppress(OSError):
+            out.rmdir()
+        raise
     manifest = make_manifest(cfg, out, started, time.time())
     emit_metrics(records, manifest, out)
     last = records[-1]

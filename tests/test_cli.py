@@ -8,7 +8,7 @@ import pytest
 from fedsim import cli
 from fedsim.cli import main
 from fedsim.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS
-from fedsim.reporting import config_from_dict
+from fedsim.reporting import config_from_dict, run_dir
 from idx_files import write_idx
 
 
@@ -79,6 +79,7 @@ def test_config_error_exit_code(tmp_path, capsys):
         code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
         assert code == 1
         assert list(doc)[-1] in assert_one_line_error(capsys, "config error: ")
+        assert not list((tmp_path / "o").glob("*"))  # no run directory left
     # the data is checked before any model is built
     for doc in [{"synth_spread": 1e308}, {"rounds": 10 ** 39},
                 {"local_epochs": 10 ** 6 + 1}, zero_draw]:
@@ -89,6 +90,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg = config_from_dict({"rounds": 10 ** 6, "local_epochs": 10 ** 6})
     assert (cfg.rounds, cfg.local.local_epochs) == (10 ** 6, 10 ** 6)
 
+
+def test_config_error_keeps_the_files_of_an_earlier_run(tmp_path, capsys):
+    """Only an empty run directory is removed on a config error."""
+    doc = {"partition": "label_skew", "concentration": 1e308}
+    earlier = run_dir(tmp_path / "o", config_from_dict(doc))
+    earlier.mkdir(parents=True)
+    (earlier / "metrics.jsonl").write_text("{}\n")
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert "concentration" in assert_one_line_error(capsys, "config error: ")
+    assert (earlier / "metrics.jsonl").read_text() == "{}\n"
 
 @pytest.mark.parametrize("make", [
     lambda path: None,
