@@ -36,7 +36,7 @@ def _cmd_run(args) -> int:
     started = time.time()
     try:
         records = run_federation(cfg)
-    except ConfigError:  # bad data leaves no run directory; rmdir keeps files
+    except (FedSimError, MemoryError):  # rmdir removes only an empty dir
         with contextlib.suppress(OSError):
             out.rmdir()
         raise

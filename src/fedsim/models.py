@@ -76,7 +76,8 @@ def _softmax_parts(logits: np.ndarray, y: np.ndarray):
 
     The log-softmax is taken from the shifted logits directly, which keeps
     it finite where the softmax itself underflows. The row max reduces a
-    transposed copy along axis 0: faster than axis 1, and exact in any order.
+    transposed copy along axis 0, faster than axis 1: the same values, up
+    to the sign of a zero max, which only a loss of exactly 0 can show.
     """
     label_at = np.arange(0, logits.size, logits.shape[1]) + y
     e = logits - np.maximum.reduce(logits.T.copy(), axis=0)[:, None]

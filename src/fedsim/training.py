@@ -98,8 +98,7 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
     with naming(phase, NonFiniteError):
         for _ in range(cfg.local_epochs):
             order = rng.permutation(shard.n)
-            features = shard.features.take(order, axis=0)
-            labels = shard.labels.take(order)
+            features, labels = shard.features.take(order, 0), shard.labels.take(order)
             epoch_losses = []
             for start in range(0, shard.n, cfg.batch_size):
                 stop = start + cfg.batch_size

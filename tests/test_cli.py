@@ -156,6 +156,7 @@ def test_runtime_error_exit_code(tmp_path, capsys):
                      ["partition-preview", "--config", cfg_path]):
             assert main(argv) == 2
             assert_one_line_error(capsys, "error: ")
+        assert not list((tmp_path / "o").glob("*"))  # no run directory left
 
 
 def test_partition_preview(tmp_path, capsys):
@@ -196,6 +197,7 @@ def test_a_shard_too_small_to_hold_out_names_its_client(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert_one_line_error(capsys, "error: client 0: fedboosting hold-out: "
                                   "need at least 2 samples to split")
+    assert not list((tmp_path / "o").glob("*"))
 
 
 def test_a_run_too_large_for_memory_is_a_runtime_error(tmp_path, capsys):
@@ -205,6 +207,7 @@ def test_a_run_too_large_for_memory_is_a_runtime_error(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert_one_line_error(capsys, "error: out of memory: Unable to allocate "
                                   "128. PiB")
+    assert not list((tmp_path / "o").glob("*"))
 
 
 @pytest.mark.parametrize("name,content,out", [
@@ -254,3 +257,4 @@ def test_divergence_is_a_one_line_runtime_error(tmp_path, capsys):
     code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "non-finite" in assert_one_line_error(capsys, "error: round 1: ")
+    assert not list((tmp_path / "o").glob("*"))
