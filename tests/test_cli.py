@@ -102,6 +102,7 @@ def test_config_error_keeps_the_files_of_an_earlier_run(tmp_path, capsys):
     assert "concentration" in assert_one_line_error(capsys, "config error: ")
     assert (earlier / "metrics.jsonl").read_text() == "{}\n"
 
+
 @pytest.mark.parametrize("make", [
     lambda path: None,
     Path.mkdir,

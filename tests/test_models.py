@@ -285,9 +285,8 @@ class TestAccuracyOnly:
                                [data.subset([0]), data.subset([1])])
 
 
-# The kernel as it indexed the labels through 2-D fancy indexes and took the
-# row max along axis 1; the flat label index and the transposed row max must
-# give the same bits.
+# Reference: the kernel with 2-D fancy label indexes and an axis-1 row max.
+# The flat label index and the transposed row max must give the same bits.
 
 def _fancy_index_softmax_parts(logits, y):
     rows = np.arange(logits.shape[0])

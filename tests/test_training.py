@@ -317,7 +317,6 @@ def test_divergence_names_the_client_and_the_phase():
     assert str(err.value).endswith("': non-finite values")
 
 
-
 def test_weights_whose_squared_norm_overflows_keep_training():
     """Each step tests the weights' sum of squares; one that overflows on
     finite weights falls back to the element-wise test and trains on."""
@@ -334,6 +333,7 @@ def test_weights_whose_squared_norm_overflows_keep_training():
     assert np.array_equal(update.local_params.to_flat(), final.to_flat())
     assert np.array_equal(update.pseudo_gradient.to_flat(), pseudo.to_flat())
     assert update.train_loss == loss
+
 
 def _layer_named_by_divergence(monkeypatch, fill_gradient, cfg):
     """The message train_local raises on softmax regression when each
