@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import StructureMismatchError
+from .errors import NonFiniteError, StructureMismatchError, naming
 from .tensors import (
     ParameterSet,
     column_softmax,
@@ -214,6 +214,7 @@ def ewwa_aggregate(updates: list[ClientUpdate], state: AggregatorState,
             p_all[:, lo:hi] = p
         g *= p
         big_g[lo:hi] = g.sum(axis=0)
+        del g, m, v, p  # free this block before the next is gathered
     like = state.m.with_flat
     new_state = replace(state, round=r, m=like(m_mean), v=like(v_mean))
     big_g = updates[0].pseudo_gradient.with_flat(big_g)
@@ -289,21 +290,24 @@ def aggregate(updates: list[ClientUpdate], state: AggregatorState,
     angles are taken against the uniform mean gradient. fedboosting reads
     the train accuracies first, so that a train loss that overflows names
     its client, then calls cross_validate on the clients' trained weights,
-    in client order, for the C x C matrix. The *_aggregate functions are
-    read as module globals at each call, so rebinding one takes effect.
+    in client order, for the C x C matrix. Every other NonFiniteError is
+    named as the "aggregate" phase. The *_aggregate functions are read as
+    module globals at each call, so rebinding one takes effect.
     """
     updates = sorted(updates, key=lambda u: u.client_id)
-    if cfg.strategy == "fedavg":
-        return fedavg_aggregate(updates), state
-    if cfg.strategy == "fedopt":
-        return fedopt_aggregate(updates, state, cfg)
-    if cfg.strategy == "fedams":
-        return fedams_aggregate(updates, state, cfg)
-    if cfg.strategy == "ewwa":
-        return ewwa_aggregate(updates, state, cfg)
-    if cfg.strategy == "fedadp":
-        return fedadp_aggregate(updates, state, cfg,
-                                mean([u.pseudo_gradient for u in updates]))
-    train_acc = [u.train_accuracy for u in updates]
-    cross_val = cross_validate([u.local_params for u in updates])
-    return fedboosting_aggregate(updates, cross_val, train_acc), state
+    if cfg.strategy == "fedboosting":  # names the client's local training
+        train_acc = [u.train_accuracy for u in updates]
+    with naming("aggregate", NonFiniteError):
+        if cfg.strategy == "fedavg":
+            return fedavg_aggregate(updates), state
+        if cfg.strategy == "fedopt":
+            return fedopt_aggregate(updates, state, cfg)
+        if cfg.strategy == "fedams":
+            return fedams_aggregate(updates, state, cfg)
+        if cfg.strategy == "ewwa":
+            return ewwa_aggregate(updates, state, cfg)
+        if cfg.strategy == "fedadp":
+            return fedadp_aggregate(updates, state, cfg,
+                                    mean([u.pseudo_gradient for u in updates]))
+        cross_val = cross_validate([u.local_params for u in updates])
+        return fedboosting_aggregate(updates, cross_val, train_acc), state

@@ -16,7 +16,7 @@ import sys
 import time
 
 from .errors import ConfigError, FedSimError
-from .federation import build_partition, load_source, run_federation
+from .federation import build_partition, run_federation
 from .reporting import (
     _writing,
     compare_runs,
@@ -51,7 +51,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_partition_preview(args) -> int:
     cfg = parse_config(args.config)
-    _, shards = build_partition(cfg, load_source(cfg))
+    _, shards = build_partition(cfg)
     print(f"partition={cfg.partition} clients={cfg.num_clients} "
           f"train_samples={sum(shard.n for shard in shards)}")
     for cid, shard in enumerate(shards):

@@ -24,8 +24,8 @@ from .data import (
     split_train_test,
     synth_blobs,
 )
-from .errors import (ConfigError, FedSimError, InsufficientDataError, RunError,
-                     naming)
+from .errors import (ConfigError, FedSimError, InsufficientDataError,
+                     NonFiniteError, RunError, naming)
 from .models import (ACTIVATIONS, MLP, MODEL_KINDS, ModelSpec, cross_accuracy,
                      evaluate, init_params)
 from .tensors import ParameterSet, zip_map
@@ -140,9 +140,15 @@ def build_model_spec(cfg: FederationConfig, data: Dataset) -> ModelSpec:
     return spec
 
 
-def build_partition(cfg: FederationConfig, data: Dataset):
-    """The seeded test split of data and the client shards of its train side."""
-    train, test = split_train_test(data, TRAIN_RATIO, cfg.seed)
+def build_partition(cfg: FederationConfig, data: Dataset | None = None):
+    """The seeded test split of data and the client shards of its train side.
+
+    With data None the source is loaded here and handed to the split as its
+    only reference, so it is freed before the shards are cut. A dataset the
+    caller passes stays the caller's, alive for as long as the caller holds it.
+    """
+    train, test = split_train_test(load_source(cfg) if data is None else data,
+                                   TRAIN_RATIO, cfg.seed)
     if cfg.partition == "iid":
         partition = partition_iid(train, cfg.num_clients, cfg.seed)
     else:
@@ -184,12 +190,15 @@ def keep_freed_arrays_in_heap() -> None:
 
 def run_federation(cfg: FederationConfig,
                    data: Dataset | None = None) -> list[RoundRecord]:
-    """Run the full federation loop and return one record per round."""
+    """Run the full federation loop and return one record per round.
+
+    With data None the run loads the source and holds only its test split
+    and client shards through the rounds. A dataset the caller passes stays
+    the caller's, alive for as long as the caller holds it.
+    """
     keep_freed_arrays_in_heap()
-    if data is None:
-        data = load_source(cfg)
     test, shards = build_partition(cfg, data)
-    spec = build_model_spec(cfg, data)
+    spec = build_model_spec(cfg, test)
     params = init_params(spec, cfg.seed)
     state = agg.initial_state(params)
     cross_validate = None
@@ -214,7 +223,10 @@ def run_federation(cfg: FederationConfig,
                 updates = train_round(params, spec, shards, cfg, r)
                 big_g, state = agg.aggregate(updates, state, cfg.aggregator,
                                              cross_validate)
-                params = apply_global_update(params, big_g, cfg.global_step_scale)
+                with naming("apply", NonFiniteError):
+                    params = apply_global_update(params, big_g,
+                                                 cfg.global_step_scale)
+                # evaluate's NonFiniteError already reads "evaluate: ..."
                 test_acc, test_loss = evaluate(params, spec, test)
         except FedSimError as exc:
             raise RunError(r, exc) from exc

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedsim import aggregators
 from fedsim.aggregators import (
     BLOCK_VALUES,
     STRATEGIES,
@@ -24,7 +25,8 @@ from fedsim.aggregators import (
     gompertz_contribution,
     initial_state,
 )
-from fedsim.errors import EmptyFederationError, StructureMismatchError
+from fedsim.errors import (EmptyFederationError, NonFiniteError,
+                           StructureMismatchError)
 from fedsim.tensors import (
     ParameterSet,
     column_softmax,
@@ -427,6 +429,60 @@ def test_fedadp_matches_its_loop_reference(alpha):
                                    list(angles.values()), rtol=0, atol=1e-12)
 
 
+def loop_ewwa_oracle(rounds, variant, cfg):
+    """ewwa as the README's "ewwa as implemented" states it, one float at a
+    time, with the variants' v updates of aggregators._second_moment. rounds
+    holds each round's client gradients as lists of floats, in client order;
+    returns each round's G and the shared m and v it advances to."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    p = len(rounds[0][0])
+    m, v, out = [0.0] * p, [0.0] * p, []
+    for r, grads in enumerate(rounds, start=1):
+        big_g, m_next, v_next = [], [], []
+        for k in range(p):
+            ms = [b1 * m[k] + (1 - b1) * g[k] for g in grads]
+            if variant == "adam":
+                vs = [b2 * v[k] + (1 - b2) * g[k] * g[k] for g in grads]
+            elif variant == "adagrad":
+                vs = [v[k] + g[k] * g[k] for g in grads]
+            else:  # yogi, with sign(0) = 0
+                vs = [v[k] - (1 - b2) * g[k] * g[k] * (
+                      (v[k] > g[k] * g[k]) - (v[k] < g[k] * g[k])) for g in grads]
+            scores = [cfg.server_lr * (mc / (1 - b1 ** r))
+                      / (math.sqrt(vc / (1 - b2 ** r)) + cfg.epsilon)
+                      for mc, vc in zip(ms, vs)]
+            exps = [math.exp(b - max(scores)) for b in scores]
+            big_g.append(sum(e / sum(exps) * g[k] for e, g in zip(exps, grads)))
+            m_next.append(sum(ms) / len(grads))
+            v_next.append(sum(vs) / len(grads))
+        m, v = m_next, v_next
+        out.append((big_g, m, v))
+    return out
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ewwa_matches_its_loop_reference_across_blocks(monkeypatch, variant):
+    """Over several rounds of unequal shards, aggregate's ewwa gives the G, m
+    and v of the loop reference, on column blocks of 2-3 columns."""
+    monkeypatch.setattr(aggregators, "BLOCK_VALUES", 16)
+    c, p = 5, 37
+    assert len(_column_blocks(c, p)) == 13
+    rng = np.random.default_rng(29)
+    cfg = AggregatorConfig(strategy="ewwa", variant=variant, server_lr=3.0)
+    rounds = [[rng.normal(size=p) * rng.uniform(0.1, 3.0) for _ in range(c)]
+              for _ in range(6)]
+    state = initial_state(ps(*np.zeros(p)))
+    expected = loop_ewwa_oracle([[g.tolist() for g in grads] for grads in rounds],
+                                variant, cfg)
+    for grads, (big_g, m, v) in zip(rounds, expected):
+        updates = [upd(cid, g, n=int(rng.integers(1, 500)))
+                   for cid, g in enumerate(grads)]
+        out, state = aggregate(updates[::-1], state, cfg)
+        np.testing.assert_allclose(out.to_flat(), big_g, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.m.to_flat(), m, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.v.to_flat(), v, rtol=0, atol=1e-12)
+
+
 def scalar_boosting_oracle(train_metrics, cross_val):
     t = np.asarray(train_metrics, dtype=float)
     v = np.asarray(cross_val, dtype=float)
@@ -582,6 +638,27 @@ class TestAggregate:
                   AggregatorConfig(strategy="fedboosting"),
                   lambda models: order.append("cross") or np.eye(2))
         assert order == ["train", "train", "cross"]
+
+    def test_a_non_finite_result_names_the_aggregate_phase(self):
+        updates = [upd(c, [1e200, 1.0]) for c in range(2)]
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as err:
+            aggregate(updates, initial_state(ps(0.0, 0.0)),
+                      AggregatorConfig(strategy="fedopt"))
+        assert str(err.value) == "aggregate: layer 'w': non-finite values"
+        assert str(err.value.__cause__) == "layer 'w': non-finite values"
+
+    def test_a_failing_train_accuracy_keeps_its_clients_name(self):
+        def fails():
+            raise NonFiniteError("client 0: local training: evaluate: "
+                                 "non-finite loss")
+
+        updates = [ClientUpdate(c, ps(1.0), 10, 0.0, fails) for c in range(2)]
+        with pytest.raises(NonFiniteError) as err:
+            aggregate(updates, initial_state(ps(0.0)),
+                      AggregatorConfig(strategy="fedboosting"),
+                      lambda models: np.eye(2))
+        assert str(err.value) == ("client 0: local training: evaluate: "
+                                  "non-finite loss")
 
 
 class TestPermutationInvariance:
@@ -820,12 +897,17 @@ def peak_stacks(call, stack_bytes):
     return peak / stack_bytes
 
 
-def test_no_strategy_allocates_half_a_stack():
-    c, p = 64, 20_000
+def wide_round(c=64, p=20_000):
+    """A round of c clients' random P-vectors, and the zero state."""
     rng = np.random.default_rng(2)
     updates = [ClientUpdate(cid, ps(*rng.normal(size=p)), int(rng.integers(1, 50)),
                             0.0, 0.5) for cid in range(c)]
-    state = initial_state(ps(*np.zeros(p)))
+    return updates, initial_state(ps(*np.zeros(p)))
+
+
+def test_no_strategy_allocates_half_a_stack():
+    c, p = 64, 20_000
+    updates, state = wide_round(c, p)
     grads = [u.pseudo_gradient for u in updates]
     g_mean = mean(grads)
     calls = {
@@ -844,3 +926,18 @@ def test_no_strategy_allocates_half_a_stack():
     }
     peaks = {name: peak_stacks(call, c * p * 8) for name, call in calls.items()}
     assert max(peaks.values()) < 0.5, peaks
+
+
+@pytest.mark.parametrize("variant,bound", [
+    ("adam", 0.29), ("adagrad", 0.34), ("yogi", 0.39)])
+def test_ewwa_holds_one_column_block_at_a_time(variant, bound):
+    """At (64, 20,000), 20 blocks of 1,000 columns, ewwa peaks at 0.236,
+    0.285 and 0.335 stacks. Each is 0.1 more, two blocks' arrays, when a
+    block's arrays are still held as the next block is gathered."""
+    c, p = 64, 20_000
+    updates, state = wide_round(c, p)
+    assert len(_column_blocks(c, p)) == 20
+    peak = peak_stacks(lambda: ewwa_aggregate(
+        updates, state, AggregatorConfig(strategy="ewwa", variant=variant)),
+        c * p * 8)
+    assert peak < bound, peak

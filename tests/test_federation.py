@@ -1,5 +1,7 @@
 import platform
 import resource
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -166,6 +168,89 @@ class TestRunFederation:
         assert client_seed(1, 2, 3) == client_seed(1, 2, 3)
         assert client_seed(1, 2, 3) != client_seed(1, 2, 4)
         assert client_seed(1, 2, 3) != client_seed(1, 3, 3)
+
+
+class TestPhaseNames:
+    """A NonFiniteError outside local training names its round, then its
+    phase, and is chained from the error it names."""
+
+    @pytest.mark.parametrize("error,cfg", [
+        # one full-batch step on features near 1e160 leaves pseudo-gradients
+        # whose squares overflow the second moment
+        ("round 1: aggregate: layer 'out_weight': non-finite values",
+         small_cfg(synth_spread=1e160,
+                   local=LocalConfig(lr=0.05, momentum=0.0, batch_size=1000),
+                   aggregator=AggregatorConfig(strategy="fedopt"))),
+        ("round 1: aggregate: layer 'out_weight': non-finite values",
+         small_cfg(synth_spread=1e160,
+                   local=LocalConfig(lr=0.05, momentum=0.0, batch_size=1000),
+                   aggregator=AggregatorConfig(strategy="ewwa"))),
+        # fedopt's first G is about server_lr in size
+        ("round 1: apply: layer 'out_bias': non-finite values",
+         small_cfg(global_step_scale=1e10,
+                   aggregator=AggregatorConfig(strategy="fedopt",
+                                               server_lr=1e300))),
+        # finite weights near 1e307 whose test loss overflows
+        ("round 1: evaluate: non-finite loss",
+         small_cfg(synth_spread=5.0, global_step_scale=1.0,
+                   aggregator=AggregatorConfig(strategy="fedopt",
+                                               server_lr=1e307))),
+    ], ids=["aggregate-fedopt", "aggregate-ewwa", "apply", "evaluate"])
+    def test_a_failure_names_its_phase(self, error, cfg):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RunError) as err:
+                run_federation(cfg)
+        assert str(err.value) == error
+        assert err.value.round_num == 1
+        assert isinstance(err.value.__cause__, NonFiniteError)
+
+
+class TestDataLifetime:
+    @pytest.mark.parametrize("partition", ["iid", "label_skew"])
+    def test_a_loaded_source_is_freed_before_the_partition(self, monkeypatch,
+                                                           partition):
+        """A source run_federation loads is referenced only by the split, so
+        it is gone when the shards are cut and through every round."""
+        refs, seen = [], []
+        load_source = federation.load_source
+
+        def load(cfg):
+            data = load_source(cfg)
+            refs.append(weakref.ref(data))
+            return data
+
+        def spy(fn):
+            def call(*args, **kwargs):
+                seen.append((fn.__name__, refs[0]() is None))
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(federation, "load_source", load)
+        for name in ("partition_iid", "partition_label_skew", "train_round"):
+            monkeypatch.setattr(federation, name, spy(getattr(federation, name)))
+        run_federation(small_cfg(rounds=2, partition=partition,
+                                 synth_per_class=60))
+        assert seen == [(f"partition_{partition}", True),
+                        ("train_round", True), ("train_round", True)]
+
+    @pytest.mark.parametrize("partition", ["iid", "label_skew"])
+    def test_set_up_peaks_at_the_source_and_its_two_splits(self, partition):
+        """build_partition(cfg) peaks while the split holds the source, its
+        train side and its test side, about 2x the source; holding the
+        source while the shards are cut would take about 2.9x."""
+        cfg = FederationConfig(partition=partition, synth_classes=10,
+                               synth_per_class=500, synth_dim=32)
+        source = federation.load_source(cfg)
+        nbytes = source.features.nbytes + source.labels.nbytes
+        del source
+        build_partition(cfg)  # keep one-time allocations out of the peak
+        tracemalloc.start()
+        try:
+            build_partition(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * nbytes, peak / nbytes
 
 
 class TestTrainRound:
