@@ -142,11 +142,8 @@ def build_model_spec(cfg: FederationConfig, data: Dataset) -> ModelSpec:
 
 def build_partition(cfg: FederationConfig, data: Dataset | None = None):
     """The seeded test split of data and the client shards of its train side.
-
-    With data None the source is loaded here and handed to the split as its
-    only reference, so it is freed before the shards are cut. A dataset the
-    caller passes stays the caller's, alive for as long as the caller holds it.
-    """
+    A dataset the caller passes stays the caller's; with None the source is
+    loaded here, and the split, its only holder, frees it."""
     train, test = split_train_test(load_source(cfg) if data is None else data,
                                    TRAIN_RATIO, cfg.seed)
     if cfg.partition == "iid":
@@ -190,12 +187,9 @@ def keep_freed_arrays_in_heap() -> None:
 
 def run_federation(cfg: FederationConfig,
                    data: Dataset | None = None) -> list[RoundRecord]:
-    """Run the full federation loop and return one record per round.
-
-    With data None the run loads the source and holds only its test split
-    and client shards through the rounds. A dataset the caller passes stays
-    the caller's, alive for as long as the caller holds it.
-    """
+    """Run the full federation loop and return one record per round. A
+    dataset the caller passes stays the caller's; with None the rounds hold
+    only the test split and the shards of the source loaded for them."""
     keep_freed_arrays_in_heap()
     test, shards = build_partition(cfg, data)
     spec = build_model_spec(cfg, test)
@@ -224,8 +218,7 @@ def run_federation(cfg: FederationConfig,
                 big_g, state = agg.aggregate(updates, state, cfg.aggregator,
                                              cross_validate)
                 with naming("apply", NonFiniteError):
-                    params = apply_global_update(params, big_g,
-                                                 cfg.global_step_scale)
+                    params = apply_global_update(params, big_g, cfg.global_step_scale)
                 # evaluate's NonFiniteError already reads "evaluate: ..."
                 test_acc, test_loss = evaluate(params, spec, test)
         except FedSimError as exc:
