@@ -295,7 +295,7 @@ def aggregate(updates: list[ClientUpdate], state: AggregatorState,
     module globals at each call, so rebinding one takes effect.
     """
     updates = sorted(updates, key=lambda u: u.client_id)
-    if cfg.strategy == "fedboosting":  # names the client's local training
+    if cfg.strategy == "fedboosting":  # outside the phase: errors name the client
         train_acc = [u.train_accuracy for u in updates]
     with naming("aggregate", NonFiniteError):
         if cfg.strategy == "fedavg":
