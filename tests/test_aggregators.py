@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -70,72 +72,7 @@ class TestFedAvg:
             fedavg_aggregate([])
 
 
-def scalar_fedopt_oracle(grads, variant, cfg):
-    """Hand-stepped scalar trajectory of the adaptive server rule."""
-    m = v = 0.0
-    outs = []
-    for r, g in enumerate(grads, start=1):
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        if variant == "adam":
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        elif variant == "adagrad":
-            v = v + g * g
-        else:
-            v = v - (1 - cfg.beta2) * g * g * np.sign(v - g * g)
-        eta = cfg.server_lr * np.sqrt(1 - cfg.beta2 ** r) / (1 - cfg.beta1 ** r)
-        outs.append(eta * m / (np.sqrt(v) + cfg.epsilon))
-    return outs
-
-
 class TestFedOpt:
-    def test_round_one_step_size(self):
-        assert adaptive_step_size(1.0, 0.9, 0.999, 1) == pytest.approx(
-            0.3162278, abs=1e-6)
-
-    def test_round_one_scalar_trace(self):
-        cfg = AggregatorConfig(strategy="fedopt", variant="adam")
-        state = initial_state(ps(0.0))
-        g, state = fedopt_aggregate([upd(0, [1.0])], state, cfg)
-        assert state.m.to_flat()[0] == pytest.approx(0.1, abs=1e-15)
-        assert state.v.to_flat()[0] == pytest.approx(0.001, abs=1e-15)
-        eta = 0.3162277660168379
-        expected = eta * 0.1 / (np.sqrt(0.001) + 1e-8)
-        assert g.to_flat()[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_adagrad_first_round_v(self):
-        cfg = AggregatorConfig(strategy="fedopt", variant="adagrad")
-        state = initial_state(ps(0.0))
-        _, state = fedopt_aggregate([upd(0, [0.5])], state, cfg)
-        assert state.v.to_flat()[0] == 0.25
-
-    @pytest.mark.parametrize("variant", ["adam", "adagrad", "yogi"])
-    def test_multi_round_matches_scalar_oracle(self, variant):
-        cfg = AggregatorConfig(strategy="fedopt", variant=variant)
-        rng = np.random.default_rng(3)
-        grads = rng.normal(size=12)
-        state = initial_state(ps(0.0))
-        for g_val, expected in zip(grads, scalar_fedopt_oracle(grads, variant, cfg)):
-            g_out, state = fedopt_aggregate([upd(0, [g_val])], state, cfg)
-            assert g_out.to_flat()[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_mean_of_clients_feeds_the_optimizer(self):
-        cfg = AggregatorConfig(strategy="fedopt", variant="adam")
-        joint, _ = fedopt_aggregate(
-            [upd(0, [2.0]), upd(1, [0.0])], initial_state(ps(0.0)), cfg)
-        solo, _ = fedopt_aggregate([upd(0, [1.0])], initial_state(ps(0.0)), cfg)
-        assert joint.to_flat()[0] == pytest.approx(solo.to_flat()[0], abs=1e-15)
-
-    def test_adagrad_v_monotone(self):
-        cfg = AggregatorConfig(strategy="fedopt", variant="adagrad")
-        rng = np.random.default_rng(8)
-        state = initial_state(ps(*np.zeros(20)))
-        prev = state.v.to_flat()
-        for _ in range(30):
-            _, state = fedopt_aggregate(
-                [upd(0, rng.normal(size=20))], state, cfg)
-            assert np.all(state.v.to_flat() >= prev)
-            prev = state.v.to_flat()
-
     def test_yogi_v_bounded(self):
         cfg = AggregatorConfig(strategy="fedopt", variant="yogi")
         rng = np.random.default_rng(9)
@@ -147,18 +84,6 @@ class TestFedOpt:
             v = state.v.to_flat()
             assert np.all(v >= 0.0)
             assert np.all(v <= np.maximum(prev, g * g) + 1e-15)
-
-
-def scalar_amsgrad_oracle(grads, cfg):
-    m = v = v_max = 0.0
-    outs = []
-    for r, g in enumerate(grads, start=1):
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        v_max = max(v_max, v)
-        eta = cfg.server_lr * np.sqrt(1 - cfg.beta2 ** r) / (1 - cfg.beta1 ** r)
-        outs.append(eta * m / (np.sqrt(v_max) + cfg.epsilon))
-    return outs
 
 
 class TestFedAms:
@@ -177,25 +102,6 @@ class TestFedAms:
         state = initial_state(ps(0.0, 0.0))
         _, state = fedams_aggregate([upd(0, [1.0, -2.0])], state, cfg)
         np.testing.assert_array_equal(state.v_max.to_flat(), state.v.to_flat())
-
-    def test_two_round_trajectory_matches_oracle(self):
-        cfg = AggregatorConfig(strategy="fedams")
-        grads = [0.7, -0.2]
-        state = initial_state(ps(0.0))
-        for g_val, expected in zip(grads, scalar_amsgrad_oracle(grads, cfg)):
-            g_out, state = fedams_aggregate([upd(0, [g_val])], state, cfg)
-            assert g_out.to_flat()[0] == pytest.approx(expected, abs=1e-12)
-
-    def test_vmax_monotone_over_rounds(self):
-        cfg = AggregatorConfig(strategy="fedams")
-        rng = np.random.default_rng(10)
-        state = initial_state(ps(*np.zeros(15)))
-        prev = state.v_max.to_flat()
-        for _ in range(40):
-            _, state = fedams_aggregate(
-                [upd(0, rng.normal(size=15))], state, cfg)
-            assert np.all(state.v_max.to_flat() >= prev)
-            prev = state.v_max.to_flat()
 
 
 def old_moments(variant, m_prev, v_prev, g, beta1, beta2):
@@ -231,105 +137,6 @@ def test_in_place_moments_equal_the_one_expression_forms(variant, shape):
             assert np.array_equal(a, b)
 
 
-def scalar_ewwa_oracle(client_grads, variant, cfg, m_prev, v_prev, r):
-    """Element-by-element reference for one round, plain Python floats."""
-    num_elems = len(client_grads[0])
-    num_clients = len(client_grads)
-    b = [[0.0] * num_elems for _ in range(num_clients)]
-    m_new = [[0.0] * num_elems for _ in range(num_clients)]
-    v_new = [[0.0] * num_elems for _ in range(num_clients)]
-    for c in range(num_clients):
-        for e in range(num_elems):
-            g = client_grads[c][e]
-            m = cfg.beta1 * m_prev[e] + (1 - cfg.beta1) * g
-            if variant == "adam":
-                v = cfg.beta2 * v_prev[e] + (1 - cfg.beta2) * g * g
-            elif variant == "adagrad":
-                v = v_prev[e] + g * g
-            else:
-                v = v_prev[e] - (1 - cfg.beta2) * g * g * np.sign(
-                    v_prev[e] - g * g)
-            m_hat = m / (1 - cfg.beta1 ** r)
-            v_hat = v / (1 - cfg.beta2 ** r)
-            b[c][e] = cfg.server_lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-            m_new[c][e] = m
-            v_new[c][e] = v
-    big_g = [0.0] * num_elems
-    for e in range(num_elems):
-        exps = [np.exp(b[c][e] - max(bb[e] for bb in b)) for c in range(num_clients)]
-        z = sum(exps)
-        for c in range(num_clients):
-            big_g[e] += (exps[c] / z) * client_grads[c][e]
-    return big_g, m_new, v_new
-
-
-class TestEwwa:
-    def test_single_client_degenerates_to_gradient(self):
-        cfg = AggregatorConfig(strategy="ewwa")
-        g_in = [0.3, -2.0, 5.0]
-        g_out, _ = ewwa_aggregate([upd(0, g_in)], initial_state(ps(0, 0, 0)), cfg)
-        np.testing.assert_allclose(g_out.to_flat(), g_in, atol=1e-15)
-
-    def test_identical_clients_match_fedavg(self):
-        cfg = AggregatorConfig(strategy="ewwa")
-        g_in = np.array([0.5, -1.5, 0.0, 2.0])
-        updates = [upd(c, g_in) for c in range(3)]
-        g_out, _ = ewwa_aggregate(updates, initial_state(ps(*np.zeros(4))), cfg)
-        avg = fedavg_aggregate(updates)
-        np.testing.assert_allclose(g_out.to_flat(), avg.to_flat(), atol=1e-12)
-
-    @pytest.mark.parametrize("variant", ["adam", "adagrad", "yogi"])
-    def test_first_round_matches_elementwise_oracle(self, variant):
-        cfg = AggregatorConfig(strategy="ewwa", variant=variant)
-        grads = [[0.4, -0.7, 1.2], [-0.1, 0.9, 0.3]]
-        state = initial_state(ps(0, 0, 0))
-        g_out, state = ewwa_aggregate(
-            [upd(c, g) for c, g in enumerate(grads)], state, cfg)
-        expected, m_new, v_new = scalar_ewwa_oracle(
-            grads, variant, cfg, [0.0] * 3, [0.0] * 3, r=1)
-        np.testing.assert_allclose(g_out.to_flat(), expected, atol=1e-12)
-        np.testing.assert_allclose(
-            state.m.to_flat(), np.mean(m_new, axis=0), atol=1e-15)
-        np.testing.assert_allclose(
-            state.v.to_flat(), np.mean(v_new, axis=0), atol=1e-15)
-
-    def test_multi_round_matches_elementwise_oracle(self):
-        cfg = AggregatorConfig(strategy="ewwa", variant="adam")
-        rng = np.random.default_rng(21)
-        state = initial_state(ps(0, 0, 0))
-        m_prev, v_prev = [0.0] * 3, [0.0] * 3
-        for r in range(1, 6):
-            grads = rng.normal(size=(3, 3)).tolist()
-            g_out, state = ewwa_aggregate(
-                [upd(c, g) for c, g in enumerate(grads)], state, cfg)
-            expected, m_new, v_new = scalar_ewwa_oracle(
-                grads, "adam", cfg, m_prev, v_prev, r)
-            np.testing.assert_allclose(g_out.to_flat(), expected, atol=1e-12)
-            m_prev = np.mean(m_new, axis=0).tolist()
-            v_prev = np.mean(v_new, axis=0).tolist()
-
-    def test_proportion_law_random_rounds(self):
-        rng = np.random.default_rng(33)
-        cfg = AggregatorConfig(strategy="ewwa")
-        for num_clients in (2, 3, 5):
-            state = initial_state(ps(*np.zeros(1200)))
-            for _ in range(4):
-                updates = random_updates(rng, num_clients, size=1200)
-                _, state, props = ewwa_aggregate(updates, state, cfg,
-                                                 return_proportions=True)
-                total = np.sum([p.to_flat() for p in props], axis=0)
-                np.testing.assert_allclose(total, 1.0, atol=1e-9)
-                for p in props:
-                    flat = p.to_flat()
-                    assert np.all(flat > 0.0) and np.all(flat <= 1.0)
-
-
-def test_gompertz_value():
-    assert gompertz_contribution(1.0, 5.0) == pytest.approx(
-        5.0 * (1 - np.exp(-1.0)), abs=1e-12)
-    assert gompertz_contribution(1.0, 5.0) == pytest.approx(3.160603, abs=1e-6)
-
-
 class TestFedAdp:
     def cfg(self):
         return AggregatorConfig(strategy="fedadp")
@@ -353,16 +160,6 @@ class TestFedAdp:
         _, state = fedadp_aggregate(updates, state, self.cfg(), g)
         assert state.smoothed_angles[0] == pytest.approx(np.pi / 2, abs=1e-12)
 
-    def test_smoothed_angle_is_running_mean(self):
-        state = initial_state(ps(0, 0))
-        cfg = self.cfg()
-        thetas = [0.2, 0.4, 0.6]
-        for theta in thetas:
-            g_ref = ps(1.0, 0.0)
-            local = [np.cos(theta), np.sin(theta)]
-            _, state = fedadp_aggregate([upd(0, local)], state, cfg, g_ref)
-        assert state.smoothed_angles[0] == pytest.approx(0.4, abs=1e-12)
-
     def test_angles_in_valid_range(self):
         rng = np.random.default_rng(17)
         state = initial_state(ps(*np.zeros(6)))
@@ -384,115 +181,6 @@ class TestFedAdp:
         assert g_out.to_flat()[0] > g_out.to_flat()[1]
 
 
-def loop_fedadp_oracle(rounds, alpha):
-    """fedadp as the README's "fedadp as implemented" states it, one float
-    at a time. rounds holds each round's client gradients as lists of
-    floats, in client order; returns each round's G and smoothed angles."""
-    smoothed, out = {}, []
-    for r, grads in enumerate(rounds, start=1):
-        c, p = len(grads), len(grads[0])
-        g_mean = [sum(g[k] for g in grads) / c for k in range(p)]
-        norm_mean = math.sqrt(sum(x * x for x in g_mean))
-        contribs = []
-        for cid, g in enumerate(grads):
-            cos = sum(a * b for a, b in zip(g, g_mean)) / (
-                math.sqrt(sum(x * x for x in g)) * norm_mean)
-            theta = math.acos(max(-1.0, min(1.0, cos)))
-            smoothed[cid] = ((r - 1) * smoothed.get(cid, 0.0) + theta) / r
-            contribs.append(alpha * (1.0 - math.exp(-math.exp(
-                alpha * (1.0 - smoothed[cid])))))
-        exps = [math.exp(x - max(contribs)) for x in contribs]
-        weights = [x / sum(exps) for x in exps]
-        out.append(([sum(w * g[k] for w, g in zip(weights, grads))
-                     for k in range(p)], dict(smoothed)))
-    return out
-
-
-@pytest.mark.parametrize("alpha", [5.0, 1.5])
-def test_fedadp_matches_its_loop_reference(alpha):
-    """Over several rounds of unequal shards, aggregate's fedadp gives the
-    G and smoothed angles of the loop reference; shard sizes do not enter."""
-    rng = np.random.default_rng(23)
-    cfg = AggregatorConfig(strategy="fedadp", adp_alpha=alpha)
-    rounds = [[rng.normal(size=30) + rng.normal(size=30) * rng.uniform(0, 3)
-               for _ in range(5)] for _ in range(6)]
-    state = initial_state(ps(*np.zeros(30)))
-    expected = loop_fedadp_oracle([[list(g) for g in grads] for grads in rounds],
-                                  alpha)
-    for grads, (big_g, angles) in zip(rounds, expected):
-        updates = [upd(cid, g, n=int(rng.integers(1, 500)))
-                   for cid, g in enumerate(grads)]
-        out, state = aggregate(updates[::-1], state, cfg)
-        np.testing.assert_allclose(out.to_flat(), big_g, rtol=0, atol=1e-12)
-        assert state.smoothed_angles.keys() == angles.keys()
-        np.testing.assert_allclose([state.smoothed_angles[c] for c in angles],
-                                   list(angles.values()), rtol=0, atol=1e-12)
-
-
-def loop_ewwa_oracle(rounds, variant, cfg):
-    """ewwa as the README's "ewwa as implemented" states it, one float at a
-    time, with the variants' v updates of aggregators._second_moment. rounds
-    holds each round's client gradients as lists of floats, in client order;
-    returns each round's G and the shared m and v it advances to."""
-    b1, b2 = cfg.beta1, cfg.beta2
-    p = len(rounds[0][0])
-    m, v, out = [0.0] * p, [0.0] * p, []
-    for r, grads in enumerate(rounds, start=1):
-        big_g, m_next, v_next = [], [], []
-        for k in range(p):
-            ms = [b1 * m[k] + (1 - b1) * g[k] for g in grads]
-            if variant == "adam":
-                vs = [b2 * v[k] + (1 - b2) * g[k] * g[k] for g in grads]
-            elif variant == "adagrad":
-                vs = [v[k] + g[k] * g[k] for g in grads]
-            else:  # yogi, with sign(0) = 0
-                vs = [v[k] - (1 - b2) * g[k] * g[k] * (
-                      (v[k] > g[k] * g[k]) - (v[k] < g[k] * g[k])) for g in grads]
-            scores = [cfg.server_lr * (mc / (1 - b1 ** r))
-                      / (math.sqrt(vc / (1 - b2 ** r)) + cfg.epsilon)
-                      for mc, vc in zip(ms, vs)]
-            exps = [math.exp(b - max(scores)) for b in scores]
-            big_g.append(sum(e / sum(exps) * g[k] for e, g in zip(exps, grads)))
-            m_next.append(sum(ms) / len(grads))
-            v_next.append(sum(vs) / len(grads))
-        m, v = m_next, v_next
-        out.append((big_g, m, v))
-    return out
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_ewwa_matches_its_loop_reference_across_blocks(monkeypatch, variant):
-    """Over several rounds of unequal shards, aggregate's ewwa gives the G, m
-    and v of the loop reference, on column blocks of 2-3 columns."""
-    monkeypatch.setattr(aggregators, "BLOCK_VALUES", 16)
-    c, p = 5, 37
-    assert len(_column_blocks(c, p)) == 13
-    rng = np.random.default_rng(29)
-    cfg = AggregatorConfig(strategy="ewwa", variant=variant, server_lr=3.0)
-    rounds = [[rng.normal(size=p) * rng.uniform(0.1, 3.0) for _ in range(c)]
-              for _ in range(6)]
-    state = initial_state(ps(*np.zeros(p)))
-    expected = loop_ewwa_oracle([[g.tolist() for g in grads] for grads in rounds],
-                                variant, cfg)
-    for grads, (big_g, m, v) in zip(rounds, expected):
-        updates = [upd(cid, g, n=int(rng.integers(1, 500)))
-                   for cid, g in enumerate(grads)]
-        out, state = aggregate(updates[::-1], state, cfg)
-        np.testing.assert_allclose(out.to_flat(), big_g, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state.m.to_flat(), m, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state.v.to_flat(), v, rtol=0, atol=1e-12)
-
-
-def scalar_boosting_oracle(train_metrics, cross_val):
-    t = np.asarray(train_metrics, dtype=float)
-    v = np.asarray(cross_val, dtype=float)
-    s = np.exp(t - t.max())
-    s /= s.sum()
-    q = s * (v.sum(axis=1) - np.diag(v))
-    p = np.exp(q - q.max())
-    return p / p.sum()
-
-
 class TestFedBoosting:
     def test_symmetric_inputs_split_evenly(self):
         updates = [upd(0, [1.0, 0.0]), upd(1, [0.0, 1.0])]
@@ -504,19 +192,6 @@ class TestFedBoosting:
         g = fedboosting_aggregate([upd(0, [2.0])], np.array([[0.5]]),
                                   np.array([0.9]))
         np.testing.assert_allclose(g.to_flat(), [2.0], atol=1e-15)
-
-    def test_three_client_oracle(self):
-        t = [0.9, 0.8, 0.7]
-        cross_val = np.array([
-            [0.5, 0.9, 0.9],
-            [0.4, 0.5, 1.2],
-            [0.7, 0.7, 0.5],
-        ])  # off-diagonal row sums: 1.8, 1.6, 1.4
-        updates = [upd(c, [1.0 if c == i else 0.0 for i in range(3)])
-                   for c in range(3)]
-        g = fedboosting_aggregate(updates, cross_val, np.array(t))
-        expected = scalar_boosting_oracle(t, cross_val)
-        np.testing.assert_allclose(g.to_flat(), expected, atol=1e-12)
 
     def test_float64_train_metrics_are_left_unmodified(self):
         t = np.array([0.9, 0.8, 0.7])
@@ -530,6 +205,173 @@ class TestFedBoosting:
             fedboosting_aggregate(updates, np.zeros((3, 3)), np.array([1.0, 1.0]))
         with pytest.raises(StructureMismatchError):
             fedboosting_aggregate(updates, np.zeros((2, 2)), np.array([1.0]))
+
+
+# One reference per strategy: its rule as the README states it, one Python
+# float at a time. Each takes the rounds' inputs and the config, and
+# returns each round's G with the state the round advances to: m, v and
+# v_max, fedadp's smoothed angles, or nothing for fedavg and fedboosting.
+
+class Round(NamedTuple):
+    """One round's inputs as plain floats, in client order."""
+    grads: list  # C lists of P floats
+    counts: list  # C sample counts
+    accuracies: list  # C train accuracies
+    cross_val: list  # C x C: model c's accuracy on client j's held-out split
+
+
+def loop_second_moment(variant, v, g, b2):
+    """One element's v after gradient g, as fedopt and ewwa advance it."""
+    if variant == "adam":
+        return b2 * v + (1 - b2) * g * g
+    if variant == "adagrad":
+        return v + g * g
+    return v - (1 - b2) * g * g * ((v > g * g) - (v < g * g))  # yogi, sign(0) = 0
+
+
+def loop_softmax(xs):
+    exps = [math.exp(x - max(xs)) for x in xs]
+    return [e / sum(exps) for e in exps]
+
+
+def loop_weighted_sum(weights, grads):
+    return [sum(w * g[k] for w, g in zip(weights, grads))
+            for k in range(len(grads[0]))]
+
+
+def loop_fedavg_oracle(rounds, cfg):
+    """G = Σ_c n_c·g_c / Σ_c n_c."""
+    return [(loop_weighted_sum([n / sum(rnd.counts) for n in rnd.counts],
+                               rnd.grads), {}) for rnd in rounds]
+
+
+def loop_fedopt_oracle(rounds, cfg, amsgrad=False):
+    """FedOpt (Reddi et al., ICLR 2021) on the uniform mean gradient, with
+    the step server_lr·sqrt(1 − β2^r)/(1 − β1^r). With amsgrad it is
+    fedams: always adam, and dividing by the running max of v."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    variant = "adam" if amsgrad else cfg.variant
+    p = len(rounds[0].grads[0])
+    m, v, v_max, out = [0.0] * p, [0.0] * p, [0.0] * p, []
+    for r, rnd in enumerate(rounds, start=1):
+        g_mean = [sum(g[k] for g in rnd.grads) / len(rnd.grads) for k in range(p)]
+        m = [b1 * a + (1 - b1) * g for a, g in zip(m, g_mean)]
+        v = [loop_second_moment(variant, a, g, b2) for a, g in zip(v, g_mean)]
+        if amsgrad:
+            v_max = [max(a, b) for a, b in zip(v_max, v)]
+        eta = cfg.server_lr * math.sqrt(1 - b2 ** r) / (1 - b1 ** r)
+        big_g = [eta * a / (math.sqrt(b) + cfg.epsilon)
+                 for a, b in zip(m, v_max if amsgrad else v)]
+        out.append((big_g, {"m": m, "v": v, "v_max": v_max}))
+    return out
+
+
+def loop_ewwa_oracle(rounds, cfg):
+    """The README's "ewwa as implemented"."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    p = len(rounds[0].grads[0])
+    m, v, out = [0.0] * p, [0.0] * p, []
+    for r, rnd in enumerate(rounds, start=1):
+        big_g, m_next, v_next = [], [], []
+        for k in range(p):
+            ms = [b1 * m[k] + (1 - b1) * g[k] for g in rnd.grads]
+            vs = [loop_second_moment(cfg.variant, v[k], g[k], b2)
+                  for g in rnd.grads]
+            scores = [cfg.server_lr * (mc / (1 - b1 ** r))
+                      / (math.sqrt(vc / (1 - b2 ** r)) + cfg.epsilon)
+                      for mc, vc in zip(ms, vs)]
+            big_g.append(sum(w * g[k] for w, g in zip(loop_softmax(scores),
+                                                      rnd.grads)))
+            m_next.append(sum(ms) / len(ms))
+            v_next.append(sum(vs) / len(vs))
+        m, v = m_next, v_next
+        out.append((big_g, {"m": m, "v": v}))
+    return out
+
+
+def loop_fedadp_oracle(rounds, cfg):
+    """The README's "fedadp as implemented"."""
+    alpha, smoothed, out = cfg.adp_alpha, {}, []
+    for r, rnd in enumerate(rounds, start=1):
+        c, p = len(rnd.grads), len(rnd.grads[0])
+        g_mean = [sum(g[k] for g in rnd.grads) / c for k in range(p)]
+        norm_mean = math.sqrt(sum(x * x for x in g_mean))
+        contribs = []
+        for cid, g in enumerate(rnd.grads):
+            cos = sum(a * b for a, b in zip(g, g_mean)) / (
+                math.sqrt(sum(x * x for x in g)) * norm_mean)
+            theta = math.acos(max(-1.0, min(1.0, cos)))
+            smoothed[cid] = ((r - 1) * smoothed.get(cid, 0.0) + theta) / r
+            contribs.append(alpha * (1.0 - math.exp(-math.exp(
+                alpha * (1.0 - smoothed[cid])))))
+        out.append((loop_weighted_sum(loop_softmax(contribs), rnd.grads),
+                    {"smoothed_angles": dict(smoothed)}))
+    return out
+
+
+def loop_fedboosting_oracle(rounds, cfg):
+    """s = softmax_c(train accuracy), and the weights are
+    softmax_c(s_c · Σ_{j≠c} V[c][j])."""
+    out = []
+    for rnd in rounds:
+        s = loop_softmax(rnd.accuracies)
+        scores = [s[c] * sum(x for j, x in enumerate(row) if j != c)
+                  for c, row in enumerate(rnd.cross_val)]
+        out.append((loop_weighted_sum(loop_softmax(scores), rnd.grads), {}))
+    return out
+
+
+LOOP_REFERENCES = {
+    "fedavg": loop_fedavg_oracle,
+    "fedopt": loop_fedopt_oracle,
+    "fedams": functools.partial(loop_fedopt_oracle, amsgrad=True),
+    "ewwa": loop_ewwa_oracle,
+    "fedadp": loop_fedadp_oracle,
+    "fedboosting": loop_fedboosting_oracle,
+}
+
+
+@pytest.mark.parametrize("case", [
+    {"strategy": "fedavg"},
+    *({"strategy": "fedopt", "variant": v} for v in VARIANTS),
+    {"strategy": "fedams", "variant": "yogi"},  # which fedams must ignore
+    *({"strategy": "ewwa", "variant": v} for v in VARIANTS),
+    {"strategy": "fedadp", "adp_alpha": 5.0},
+    {"strategy": "fedadp", "adp_alpha": 1.5},
+    {"strategy": "fedboosting"},
+], ids=lambda case: "-".join(map(str, case.values())))
+def test_every_strategy_matches_its_loop_reference(monkeypatch, case):
+    """Over six rounds of five clients, given in reverse order, with unequal
+    sample counts, random train accuracies and a random C x C matrix,
+    aggregate gives the G and state of the strategy's loop reference. ewwa
+    runs on 13 column blocks of 2-3 columns. Round 1's moments hold to
+    1e-15, and G and every later state to 1e-12."""
+    monkeypatch.setattr(aggregators, "BLOCK_VALUES", 16)
+    c, p = 5, 37
+    assert len(_column_blocks(c, p)) == 13
+    rng = np.random.default_rng(29)
+    cfg = AggregatorConfig(server_lr=3.0, **case)
+    rounds = [Round([(rng.normal(size=p) * rng.uniform(0.1, 3.0)).tolist()
+                     for _ in range(c)],
+                    rng.integers(1, 500, size=c).tolist(),
+                    rng.uniform(size=c).tolist(),
+                    rng.uniform(size=(c, c)).tolist()) for _ in range(6)]
+    state = initial_state(ps(*np.zeros(p)))
+    expected = LOOP_REFERENCES[cfg.strategy](rounds, cfg)
+    for r, (rnd, (big_g, ref_state)) in enumerate(zip(rounds, expected), start=1):
+        updates = [ClientUpdate(cid, ps(*g), n, 0.0, acc) for cid, (g, n, acc)
+                   in enumerate(zip(rnd.grads, rnd.counts, rnd.accuracies))]
+        out, state = aggregate(updates[::-1], state, cfg,
+                               lambda models: np.array(rnd.cross_val))
+        np.testing.assert_allclose(out.to_flat(), big_g, rtol=0, atol=1e-12)
+        for name, ref in ref_state.items():
+            got, atol = getattr(state, name), 1e-15 if r == 1 else 1e-12
+            if name == "smoothed_angles":
+                assert got.keys() == ref.keys()
+                got, ref, atol = [got[k] for k in ref], list(ref.values()), 1e-12
+            else:
+                got = got.to_flat()
+            np.testing.assert_allclose(got, ref, rtol=0, atol=atol, err_msg=name)
 
 
 CROSS_VAL = np.array([[0.5, 0.9, 0.8], [0.4, 0.5, 0.7], [0.6, 0.7, 0.5]])
