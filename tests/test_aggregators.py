@@ -73,6 +73,57 @@ class TestFedAvg:
 
 
 class TestFedOpt:
+    def test_round_one_step_size(self):
+        assert adaptive_step_size(1.0, 0.9, 0.999, 1) == pytest.approx(
+            0.3162278, abs=1e-6)
+
+    def test_round_one_scalar_trace(self):
+        cfg = AggregatorConfig(strategy="fedopt", variant="adam")
+        state = initial_state(ps(0.0))
+        g, state = fedopt_aggregate([upd(0, [1.0])], state, cfg)
+        assert state.m.to_flat()[0] == pytest.approx(0.1, abs=1e-15)
+        assert state.v.to_flat()[0] == pytest.approx(0.001, abs=1e-15)
+        eta = 0.3162277660168379
+        expected = eta * 0.1 / (np.sqrt(0.001) + 1e-8)
+        assert g.to_flat()[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_adagrad_first_round_v(self):
+        cfg = AggregatorConfig(strategy="fedopt", variant="adagrad")
+        state = initial_state(ps(0.0))
+        _, state = fedopt_aggregate([upd(0, [0.5])], state, cfg)
+        assert state.v.to_flat()[0] == 0.25
+
+    @pytest.mark.parametrize("variant", ["adam", "adagrad", "yogi"])
+    def test_multi_round_matches_scalar_oracle(self, variant):
+        """Twelve rounds of one client and one value against fedopt's loop
+        reference."""
+        cfg = AggregatorConfig(strategy="fedopt", variant=variant)
+        rng = np.random.default_rng(3)
+        grads = rng.normal(size=12)
+        state = initial_state(ps(0.0))
+        expected = loop_fedopt_oracle(grad_rounds([[g]] for g in grads), cfg)
+        for g_val, (big_g, _) in zip(grads, expected):
+            g_out, state = fedopt_aggregate([upd(0, [g_val])], state, cfg)
+            assert g_out.to_flat()[0] == pytest.approx(big_g[0], abs=1e-12)
+
+    def test_mean_of_clients_feeds_the_optimizer(self):
+        cfg = AggregatorConfig(strategy="fedopt", variant="adam")
+        joint, _ = fedopt_aggregate(
+            [upd(0, [2.0]), upd(1, [0.0])], initial_state(ps(0.0)), cfg)
+        solo, _ = fedopt_aggregate([upd(0, [1.0])], initial_state(ps(0.0)), cfg)
+        assert joint.to_flat()[0] == pytest.approx(solo.to_flat()[0], abs=1e-15)
+
+    def test_adagrad_v_monotone(self):
+        cfg = AggregatorConfig(strategy="fedopt", variant="adagrad")
+        rng = np.random.default_rng(8)
+        state = initial_state(ps(*np.zeros(20)))
+        prev = state.v.to_flat()
+        for _ in range(30):
+            _, state = fedopt_aggregate(
+                [upd(0, rng.normal(size=20))], state, cfg)
+            assert np.all(state.v.to_flat() >= prev)
+            prev = state.v.to_flat()
+
     def test_yogi_v_bounded(self):
         cfg = AggregatorConfig(strategy="fedopt", variant="yogi")
         rng = np.random.default_rng(9)
@@ -102,6 +153,17 @@ class TestFedAms:
         state = initial_state(ps(0.0, 0.0))
         _, state = fedams_aggregate([upd(0, [1.0, -2.0])], state, cfg)
         np.testing.assert_array_equal(state.v_max.to_flat(), state.v.to_flat())
+
+    def test_vmax_monotone_over_rounds(self):
+        cfg = AggregatorConfig(strategy="fedams")
+        rng = np.random.default_rng(10)
+        state = initial_state(ps(*np.zeros(15)))
+        prev = state.v_max.to_flat()
+        for _ in range(40):
+            _, state = fedams_aggregate(
+                [upd(0, rng.normal(size=15))], state, cfg)
+            assert np.all(state.v_max.to_flat() >= prev)
+            prev = state.v_max.to_flat()
 
 
 def old_moments(variant, m_prev, v_prev, g, beta1, beta2):
@@ -137,6 +199,12 @@ def test_in_place_moments_equal_the_one_expression_forms(variant, shape):
             assert np.array_equal(a, b)
 
 
+def test_gompertz_value():
+    assert gompertz_contribution(1.0, 5.0) == pytest.approx(
+        5.0 * (1 - np.exp(-1.0)), abs=1e-12)
+    assert gompertz_contribution(1.0, 5.0) == pytest.approx(3.160603, abs=1e-6)
+
+
 class TestFedAdp:
     def cfg(self):
         return AggregatorConfig(strategy="fedadp")
@@ -159,6 +227,16 @@ class TestFedAdp:
         updates = [upd(0, [0.0, 0.0]), upd(1, [1.0, 0.0])]
         _, state = fedadp_aggregate(updates, state, self.cfg(), g)
         assert state.smoothed_angles[0] == pytest.approx(np.pi / 2, abs=1e-12)
+
+    def test_smoothed_angle_is_running_mean(self):
+        state = initial_state(ps(0, 0))
+        cfg = self.cfg()
+        thetas = [0.2, 0.4, 0.6]
+        for theta in thetas:
+            g_ref = ps(1.0, 0.0)
+            local = [np.cos(theta), np.sin(theta)]
+            _, state = fedadp_aggregate([upd(0, local)], state, cfg, g_ref)
+        assert state.smoothed_angles[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_angles_in_valid_range(self):
         rng = np.random.default_rng(17)
@@ -218,6 +296,13 @@ class Round(NamedTuple):
     counts: list  # C sample counts
     accuracies: list  # C train accuracies
     cross_val: list  # C x C: model c's accuracy on client j's held-out split
+
+
+def grad_rounds(grads_per_round):
+    """Rounds of the given client gradients, each client with upd's 10
+    samples and a train accuracy of 0.5, and no cross-validation matrix."""
+    return [Round([[float(x) for x in g] for g in grads], [10] * len(grads),
+                  [0.5] * len(grads), None) for grads in grads_per_round]
 
 
 def loop_second_moment(variant, v, g, b2):
@@ -331,24 +416,12 @@ LOOP_REFERENCES = {
 }
 
 
-@pytest.mark.parametrize("case", [
-    {"strategy": "fedavg"},
-    *({"strategy": "fedopt", "variant": v} for v in VARIANTS),
-    {"strategy": "fedams", "variant": "yogi"},  # which fedams must ignore
-    *({"strategy": "ewwa", "variant": v} for v in VARIANTS),
-    {"strategy": "fedadp", "adp_alpha": 5.0},
-    {"strategy": "fedadp", "adp_alpha": 1.5},
-    {"strategy": "fedboosting"},
-], ids=lambda case: "-".join(map(str, case.values())))
-def test_every_strategy_matches_its_loop_reference(monkeypatch, case):
+def check_loop_reference(case):
     """Over six rounds of five clients, given in reverse order, with unequal
     sample counts, random train accuracies and a random C x C matrix,
-    aggregate gives the G and state of the strategy's loop reference. ewwa
-    runs on 13 column blocks of 2-3 columns. Round 1's moments hold to
-    1e-15, and G and every later state to 1e-12."""
-    monkeypatch.setattr(aggregators, "BLOCK_VALUES", 16)
+    aggregate gives the G and state of the strategy's loop reference.
+    Round 1's moments hold to 1e-15, and G and every later state to 1e-12."""
     c, p = 5, 37
-    assert len(_column_blocks(c, p)) == 13
     rng = np.random.default_rng(29)
     cfg = AggregatorConfig(server_lr=3.0, **case)
     rounds = [Round([(rng.normal(size=p) * rng.uniform(0.1, 3.0)).tolist()
@@ -372,6 +445,83 @@ def test_every_strategy_matches_its_loop_reference(monkeypatch, case):
             else:
                 got = got.to_flat()
             np.testing.assert_allclose(got, ref, rtol=0, atol=atol, err_msg=name)
+
+
+@pytest.mark.parametrize("case", [
+    {"strategy": "fedavg"},
+    *({"strategy": "fedopt", "variant": v} for v in VARIANTS),
+    {"strategy": "fedams", "variant": "yogi"},  # which fedams must ignore
+    *({"strategy": "ewwa", "variant": v} for v in VARIANTS),
+    {"strategy": "fedadp", "adp_alpha": 5.0},
+    {"strategy": "fedadp", "adp_alpha": 1.5},
+    {"strategy": "fedboosting"},
+], ids=lambda case: "-".join(map(str, case.values())))
+def test_every_strategy_matches_its_loop_reference(case):
+    """ewwa's 5 x 37 values fit in one column block here."""
+    assert len(_column_blocks(5, 37)) == 1
+    check_loop_reference(case)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_ewwa_matches_its_loop_reference_across_blocks(monkeypatch, variant):
+    """The same rounds on 13 column blocks of 2-3 columns."""
+    monkeypatch.setattr(aggregators, "BLOCK_VALUES", 16)
+    assert len(_column_blocks(5, 37)) == 13
+    check_loop_reference({"strategy": "ewwa", "variant": variant})
+
+
+class TestEwwa:
+    def test_single_client_degenerates_to_gradient(self):
+        cfg = AggregatorConfig(strategy="ewwa")
+        g_in = [0.3, -2.0, 5.0]
+        g_out, _ = ewwa_aggregate([upd(0, g_in)], initial_state(ps(0, 0, 0)), cfg)
+        np.testing.assert_allclose(g_out.to_flat(), g_in, atol=1e-15)
+
+    def test_identical_clients_match_fedavg(self):
+        cfg = AggregatorConfig(strategy="ewwa")
+        g_in = np.array([0.5, -1.5, 0.0, 2.0])
+        updates = [upd(c, g_in) for c in range(3)]
+        g_out, _ = ewwa_aggregate(updates, initial_state(ps(*np.zeros(4))), cfg)
+        avg = fedavg_aggregate(updates)
+        np.testing.assert_allclose(g_out.to_flat(), avg.to_flat(), atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["adam", "adagrad", "yogi"])
+    def test_first_round_matches_elementwise_oracle(self, variant):
+        cfg = AggregatorConfig(strategy="ewwa", variant=variant)
+        grads = [[0.4, -0.7, 1.2], [-0.1, 0.9, 0.3]]
+        state = initial_state(ps(0, 0, 0))
+        g_out, state = ewwa_aggregate(
+            [upd(c, g) for c, g in enumerate(grads)], state, cfg)
+        [(expected, moments)] = loop_ewwa_oracle(grad_rounds([grads]), cfg)
+        np.testing.assert_allclose(g_out.to_flat(), expected, atol=1e-12)
+        np.testing.assert_allclose(state.m.to_flat(), moments["m"], atol=1e-15)
+        np.testing.assert_allclose(state.v.to_flat(), moments["v"], atol=1e-15)
+
+    def test_multi_round_matches_elementwise_oracle(self):
+        cfg = AggregatorConfig(strategy="ewwa", variant="adam")
+        rng = np.random.default_rng(21)
+        rounds = [rng.normal(size=(3, 3)) for _ in range(5)]
+        state = initial_state(ps(0, 0, 0))
+        for grads, (expected, _) in zip(rounds,
+                                        loop_ewwa_oracle(grad_rounds(rounds), cfg)):
+            g_out, state = ewwa_aggregate(
+                [upd(c, g) for c, g in enumerate(grads)], state, cfg)
+            np.testing.assert_allclose(g_out.to_flat(), expected, atol=1e-12)
+
+    def test_proportion_law_random_rounds(self):
+        rng = np.random.default_rng(33)
+        cfg = AggregatorConfig(strategy="ewwa")
+        for num_clients in (2, 3, 5):
+            state = initial_state(ps(*np.zeros(1200)))
+            for _ in range(4):
+                updates = random_updates(rng, num_clients, size=1200)
+                _, state, props = ewwa_aggregate(updates, state, cfg,
+                                                 return_proportions=True)
+                total = np.sum([p.to_flat() for p in props], axis=0)
+                np.testing.assert_allclose(total, 1.0, atol=1e-9)
+                for p in props:
+                    flat = p.to_flat()
+                    assert np.all(flat > 0.0) and np.all(flat <= 1.0)
 
 
 CROSS_VAL = np.array([[0.5, 0.9, 0.8], [0.4, 0.5, 0.7], [0.6, 0.7, 0.5]])
