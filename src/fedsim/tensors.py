@@ -8,6 +8,9 @@ layout object, so element-wise arithmetic is one NumPy call over the
 whole vector and a structure check between related sets is an identity
 test. Values are checked to be finite whenever a set is built, or just before
 for ParameterSet._adopt, so no public operation can hand back NaN or Inf.
+Sets are built from a copy of their values, except that zip_map keeps a
+result its function built: a writable float64 (P,) array that owns its
+memory becomes the new set's vector, made read-only, with no copy.
 """
 from __future__ import annotations
 
@@ -131,9 +134,21 @@ def zip_map(
     b: ParameterSet,
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> ParameterSet:
-    """Apply a binary element-wise function to the two whole vectors."""
+    """Apply a binary element-wise function to the two whole vectors.
+
+    A result that f built, a writable float64 array of shape (P,) that owns
+    its memory (base is None), becomes the new set's vector as it is, made
+    read-only, once it passes the finite check that names the first
+    non-finite layer. Any other result (a view, an input's vector, a list)
+    is copied as with_flat copies it.
+    """
     a.check_structure(b)
-    return a.with_flat(f(a._flat, b._flat))
+    out = f(a._flat, b._flat)
+    if (isinstance(out, np.ndarray) and out.base is None and out.flags.writeable
+            and out.dtype == np.float64 and out.shape == a._flat.shape):
+        _check_finite(a._layout, out)
+        return a._adopt(out)
+    return a.with_flat(out)
 
 
 def rows(sets: Sequence[ParameterSet]) -> list[np.ndarray]:

@@ -113,7 +113,8 @@ def train_local(global_params: ParameterSet, spec: ModelSpec, shard: Dataset,
                         global_params.check_finite(vec)
                 epoch_losses.append(loss)
         params = global_params._adopt(w)  # the last step tested w
-        # (w0 - w) * (1 / lr), computed in the step scratch vector
+        # (w0 - w) * (1 / lr), computed in the step scratch vector, which
+        # zip_map keeps as the pseudo-gradient's own vector
         pseudo_gradient = zip_map(
             global_params, params, lambda w0, w: np.multiply(
                 np.subtract(w0, w, out=step), 1.0 / cfg.lr, out=step))

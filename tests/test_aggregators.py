@@ -839,9 +839,8 @@ def test_column_blocks_cover_the_columns_at_least_two_wide(c):
             assert len(blocks) == 1
 
 
-def test_a_skew_c100_round_takes_five_blocks():
-    assert [hi - lo for lo, hi in _column_blocks(100, 2762)] == [552, 552, 553,
-                                                                  552, 553]
+def test_a_skew_c100_round_takes_nine_blocks():
+    assert [hi - lo for lo, hi in _column_blocks(100, 2762)] == [306] + [307] * 8
 
 
 def test_one_value_sets_fold_in_client_order():
@@ -908,14 +907,14 @@ def test_no_strategy_allocates_half_a_stack():
 
 
 @pytest.mark.parametrize("variant,bound", [
-    ("adam", 0.29), ("adagrad", 0.34), ("yogi", 0.39)])
+    ("adam", 0.185), ("adagrad", 0.21), ("yogi", 0.235)])
 def test_ewwa_holds_one_column_block_at_a_time(variant, bound):
-    """At (64, 20,000), 20 blocks of 1,000 columns, ewwa peaks at 0.236,
-    0.285 and 0.335 stacks. Each is 0.1 more, two blocks' arrays, when a
-    block's arrays are still held as the next block is gathered."""
+    """At (64, 20,000), 40 blocks of 500 columns, ewwa peaks at 0.161,
+    0.185 and 0.210 stacks. Each is 0.05 more, two of a block's arrays, when
+    a block's arrays are still held as the next block is gathered."""
     c, p = 64, 20_000
     updates, state = wide_round(c, p)
-    assert len(_column_blocks(c, p)) == 20
+    assert len(_column_blocks(c, p)) == 40
     peak = peak_stacks(lambda: ewwa_aggregate(
         updates, state, AggregatorConfig(strategy="ewwa", variant=variant)),
         c * p * 8)
