@@ -49,7 +49,7 @@ log = logging.getLogger(__name__)
 
 STRATEGIES = ("fedavg", "fedopt", "fedams", "ewwa", "fedadp", "fedboosting")
 VARIANTS = ("adam", "adagrad", "yogi")
-BLOCK_VALUES = 1 << 15
+BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)

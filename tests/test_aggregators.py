@@ -640,6 +640,42 @@ class TestAggregate:
         assert str(err.value.__cause__) == "layer 'w': non-finite values"
 
 
+def test_ewwa_is_not_odd_in_the_pseudo_gradients():
+    """Clients at +1 and -1 on one element: ewwa gives tanh(1) less 4.2e-9,
+    eps's share, whichever client holds which sign; fedavg gives 0."""
+    for signs in ((1.0, -1.0), (-1.0, 1.0)):
+        updates = [upd(c, [sign]) for c, sign in enumerate(signs)]
+        big_g, _ = aggregate(updates, initial_state(ps(0.0)),
+                             AggregatorConfig(strategy="ewwa"))
+        assert big_g.to_flat()[0] == 0.7615941517560214
+        assert math.tanh(1.0) - big_g.to_flat()[0] == pytest.approx(4.2e-9,
+                                                                    rel=1e-2)
+        big_g, _ = aggregate(updates, initial_state(ps(0.0)), AggregatorConfig())
+        assert big_g.to_flat()[0] == 0.0
+
+
+@pytest.mark.parametrize("strategy,variant", [
+    ("fedavg", "adam"), *(("fedopt", v) for v in VARIANTS), ("fedams", "adam"),
+    ("fedadp", "adam"), ("fedboosting", "adam")])
+def test_every_other_strategy_is_odd_in_the_pseudo_gradients(strategy, variant):
+    """G(-g) == -G(g) bit for bit through aggregate, over six rounds of five
+    clients: these strategies' client weights do not depend on g's sign."""
+    cfg = AggregatorConfig(strategy=strategy, variant=variant)
+    rng = np.random.default_rng(20)
+    state = negated_state = initial_state(ps(*np.zeros(25)))
+    for _ in range(6):
+        updates = trained_updates(rng, 5)
+        negated = [ClientUpdate(u.client_id, ps(*-u.pseudo_gradient.to_flat()),
+                                u.num_samples, 0.0, u.train_accuracy,
+                                local_params=u.local_params) for u in updates]
+        matrix = rng.uniform(size=(5, 5))
+        big_g, state = aggregate(updates, state, cfg, lambda models: matrix)
+        negated_g, negated_state = aggregate(negated, negated_state, cfg,
+                                             lambda models: matrix)
+        assert np.array_equal((-big_g.to_flat()).view(np.uint64),
+                              negated_g.to_flat().view(np.uint64))
+
+
 class TestPermutationInvariance:
     def test_all_strategies(self):
         """Any arrival order gives the same bits and the same state."""
@@ -839,8 +875,9 @@ def test_column_blocks_cover_the_columns_at_least_two_wide(c):
             assert len(blocks) == 1
 
 
-def test_a_skew_c100_round_takes_nine_blocks():
-    assert [hi - lo for lo, hi in _column_blocks(100, 2762)] == [306] + [307] * 8
+def test_a_skew_c100_round_takes_five_blocks():
+    assert [hi - lo for lo, hi in _column_blocks(100, 2762)] == [552, 552, 553,
+                                                                  552, 553]
 
 
 def test_one_value_sets_fold_in_client_order():
@@ -907,14 +944,14 @@ def test_no_strategy_allocates_half_a_stack():
 
 
 @pytest.mark.parametrize("variant,bound", [
-    ("adam", 0.185), ("adagrad", 0.21), ("yogi", 0.235)])
+    ("adam", 0.29), ("adagrad", 0.34), ("yogi", 0.39)])
 def test_ewwa_holds_one_column_block_at_a_time(variant, bound):
-    """At (64, 20,000), 40 blocks of 500 columns, ewwa peaks at 0.161,
-    0.185 and 0.210 stacks. Each is 0.05 more, two of a block's arrays, when
-    a block's arrays are still held as the next block is gathered."""
+    """At (64, 20,000), 20 blocks of 1,000 columns, ewwa peaks at 0.236,
+    0.285 and 0.335 stacks. Each is 0.1 more, two blocks' arrays, when a
+    block's arrays are still held as the next block is gathered."""
     c, p = 64, 20_000
     updates, state = wide_round(c, p)
-    assert len(_column_blocks(c, p)) == 40
+    assert len(_column_blocks(c, p)) == 20
     peak = peak_stacks(lambda: ewwa_aggregate(
         updates, state, AggregatorConfig(strategy="ewwa", variant=variant)),
         c * p * 8)
