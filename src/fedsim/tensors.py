@@ -139,8 +139,8 @@ def zip_map(
     A result that f built, a writable float64 array of shape (P,) that owns
     its memory (base is None), becomes the new set's vector as it is, made
     read-only, once it passes the finite check that names the first
-    non-finite layer. Any other result (a view, an input's vector, a list)
-    is copied as with_flat copies it.
+    non-finite layer; f must keep no writable view of it. Any other result
+    (a view, an input's vector, a list) is copied as with_flat copies it.
     """
     a.check_structure(b)
     out = f(a._flat, b._flat)

@@ -8,12 +8,16 @@ ewwa, both model kinds, both activations, one and two local epochs, and
 IID and label-skewed partitions whose shards differ in size (so that
 fedadp's weights differ from fedavg's).
 
-The pins hold for the NumPy and BLAS named in PINNED_STACK; they do not
-depend on the BLAS thread count, which a test checks by running the script
-below with one OpenBLAS thread. To print fresh pins for the running stack:
+The pins hold for the NumPy, BLAS, OpenBLAS kernel and NumPy SIMD targets
+named in PINNED_STACK, and a failing pin names the running ones: under
+OpenBLAS's AVX2 kernel and NumPy's AVX2 loops, as an AVX2-only CPU runs
+them, 12 of the 16 move. They do not depend on the BLAS thread count, which
+a test checks by running the script below with one OpenBLAS thread. To
+print fresh pins for the running stack:
 
     PYTHONPATH=src python3 tests/test_run_digests.py
 """
+import ctypes
 import hashlib
 import os
 import re
@@ -59,7 +63,8 @@ CONFIGS = {
                             "model_kind": "softmax_regression"},
 }
 
-PINNED_STACK = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
+PINNED_STACK = ("numpy 2.4.6, scipy-openblas 0.3.31.188.0, core SkylakeX, "
+                "SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 PINS = {
     "fedavg-iid":
         "985bc14410f6dbb12bce9a4c9f8515d1fa849ecacf5baccb992efbc66f7901d7",
@@ -96,9 +101,24 @@ PINS = {
 }
 
 
+def openblas_core() -> str | None:
+    """The CPU kernel that the OpenBLAS bundled with NumPy runs, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*.so*")):
+        fn = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
 def running_stack() -> str:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+    """NumPy and its BLAS, the BLAS kernel and the SIMD targets NumPy uses."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = " ".join(config["SIMD Extensions"]["found"])
+    return (f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, "
+            f"core {openblas_core()}, SIMD {simd}")
 
 
 def metrics_digest(doc: dict, out_dir: Path) -> str:
@@ -136,6 +156,21 @@ def test_one_blas_thread_prints_the_digests_of_this_process(tmp_path):
     printed = dict(re.findall(r'"([\w-]+)":\s+"([0-9a-f]{64})"', child.stdout))
     assert printed == {name: metrics_digest(doc, tmp_path / name)
                        for name, doc in CONFIGS.items()}
+
+
+def test_the_running_stack_names_the_kernel_the_environment_picks():
+    """In a child whose environment alone asks for OpenBLAS's Haswell kernel
+    and turns NumPy's AVX-512 loops off, as an AVX2-only CPU runs, the
+    running stack names that kernel and AVX2's SIMD target."""
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": "src"}
+    code = f"import runpy; print(runpy.run_path({__file__!r})['running_stack']())"
+    child = subprocess.run([sys.executable, "-c", code],
+                           cwd=Path(__file__).resolve().parent.parent,
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip().endswith(", core Haswell, SIMD X86_V3")
 
 
 if __name__ == "__main__":

@@ -107,8 +107,35 @@ class TestParameterSet:
 
 class TestZipMap:
     def test_add(self):
-        out = zip_map(make([1, 2]), make([3, 4]), np.add)
+        """A vector that f built becomes the set's own, made read-only."""
+        result = np.empty(2)
+        out = zip_map(make([1, 2]), make([3, 4]),
+                      lambda a, b: np.add(a, b, out=result))
         np.testing.assert_array_equal(out.layers()["a"], [4, 6])
+        assert out._flat is result and not result.flags.writeable
+
+    def test_any_other_result_is_copied(self):
+        """A view of a writable array, an input's read-only vector and a
+        list each become a frozen copy; the view's base stays writable."""
+        x = make([1.0, 2.0])
+        base = np.array([5.0, 6.0, 7.0])
+        outs = []
+        for f in (lambda a, b: base[1:], lambda a, b: a, lambda a, b: [8.0, 9.0]):
+            result = f(x._flat, x._flat)
+            outs.append(zip_map(x, x, f))
+            assert outs[-1]._flat is not result
+            assert not outs[-1]._flat.flags.writeable
+        base[1:] = 0.0
+        assert [out.to_flat().tolist() for out in outs] == [
+            [6.0, 7.0], [1.0, 2.0], [8.0, 9.0]]
+
+    def test_a_non_finite_result_names_its_first_layer(self):
+        x = make([1.0, 2.0], [3.0, 4.0])
+        for f in (lambda a, b: a * np.array([1.0, 1.0, np.inf, 1.0]),  # built
+                  lambda a, b: np.array([[1.0, 2.0, np.nan, 4.0]])[0]):  # a view
+            with pytest.raises(NonFiniteError,
+                               match="^layer 'b': non-finite values$"):
+                zip_map(x, x, f)
 
     def test_independent_equal_layouts(self):
         out = zip_map(make([1, 2], [3]), make([4, 5], [6]), np.subtract)
